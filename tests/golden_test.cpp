@@ -1,6 +1,6 @@
 // Golden-run regression suite: pins the deterministic report text of
-// three representative binaries byte-for-byte against snapshots in
-// tests/golden/. Any change to simulation behaviour — intended or not —
+// three representative binaries, and the CSV exports, byte-for-byte
+// against snapshots in tests/golden/. Any change to simulation behaviour — intended or not —
 // shows up here as a readable diff.
 //
 // Regenerating snapshots after an intended behaviour change (never in CI):
@@ -34,14 +34,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fault/hook.hpp"
 #include "fault/plan.hpp"
+#include "io/csv.hpp"
 #include "io/golden.hpp"
 #include "io/timeline_io.hpp"
+#include "mlab/campaign.hpp"
 #include "obs/export.hpp"
 #include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
+#include "ripe/atlas.hpp"
+#include "snoid/pipeline.hpp"
 #include "synth/world.hpp"
 
 namespace {
@@ -132,6 +137,53 @@ TEST(Golden, Fig9Speedtest) {
 
 TEST(Golden, AblationWeather) {
   expect_golden("bench_ablation_weather.txt", io::ablation_weather_report());
+}
+
+// The CSV exports, byte for byte, on io_test's small datasets: an NDT
+// campaign at volume 0.00005 (with its pipeline outcome) and three days
+// of Atlas traceroutes at a 24 h cadence. Every dataset is built and
+// exported at each snapshot thread count; the CSV text must not change.
+struct ExportCsv {
+  std::string ndt, pipeline, traceroutes;
+};
+
+ExportCsv export_csv(unsigned threads) {
+  static const synth::World world;
+  mlab::CampaignConfig mc;
+  mc.volume_scale = 0.00005;
+  mc.min_tests_per_sno = 5;
+  mc.threads = threads;
+  const auto dataset = mlab::run_campaign(world, mc);
+  snoid::PipelineConfig pc;
+  pc.threads = threads;
+  const auto result = snoid::run_pipeline(dataset, pc);
+  ripe::AtlasConfig ac;
+  ac.duration_days = 3.0;
+  ac.round_interval_hours = 24.0;
+  ac.threads = threads;
+  const auto atlas = ripe::run_atlas_campaign(ac);
+  std::ostringstream ndt, pipeline, traceroutes;
+  io::export_ndt(dataset, ndt);
+  io::export_pipeline(result, pipeline);
+  io::export_traceroutes(atlas, traceroutes);
+  return {ndt.str(), pipeline.str(), traceroutes.str()};
+}
+
+TEST(Golden, CsvExportsThreadInvariant) {
+  const ExportCsv t1 = export_csv(1);
+  std::vector<unsigned> counts = {2, 8};
+  if (extra_threads() != 0) counts.push_back(extra_threads());
+  for (const unsigned threads : counts) {
+    const ExportCsv tn = export_csv(threads);
+    EXPECT_EQ(t1.ndt, tn.ndt) << "export_ndt differs at " << threads << " threads";
+    EXPECT_EQ(t1.pipeline, tn.pipeline)
+        << "export_pipeline differs at " << threads << " threads";
+    EXPECT_EQ(t1.traceroutes, tn.traceroutes)
+        << "export_traceroutes differs at " << threads << " threads";
+  }
+  expect_golden("export_ndt.csv", t1.ndt);
+  expect_golden("export_pipeline.csv", t1.pipeline);
+  expect_golden("export_traceroutes.csv", t1.traceroutes);
 }
 
 // Same contract for the epoch timeline: snapshots built without a plan
