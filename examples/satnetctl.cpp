@@ -13,6 +13,9 @@
 //   satnetctl tle FILE [--t SEC]                  load a TLE catalog and print
 //                                                 SGP4 positions at sim time t
 //
+// An export that cannot be written (a full disk, /dev/full) prints one
+// "error writing FILE" diagnostic and exits 1.
+//
 // `world` accepts --orbit-model walker|sgp4 (also --orbit-model=...) to
 // force the LEO network's ephemeris backend instead of the seeded draw.
 //
@@ -144,6 +147,15 @@ void print_campaign_report(const runtime::CampaignReport& report) {
   }
 }
 
+/// Closes an export file and reports a write that failed (a full disk,
+/// /dev/full) as one diagnostic instead of a success line.
+bool close_export(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "error writing %s\n", path.c_str());
+  return false;
+}
+
 int cmd_campaign(int argc, char** argv) {
   const double scale = std::stod(flag_value(argc, argv, "--scale", "0.0005"));
   const std::string out_path = flag_value(argc, argv, "--out", "ndt.csv");
@@ -161,6 +173,7 @@ int cmd_campaign(int argc, char** argv) {
     return 1;
   }
   const std::size_t rows = io::export_ndt(dataset, out);
+  if (!close_export(out, out_path)) return 1;
   std::printf("wrote %zu NDT records to %s\n", rows, out_path.c_str());
   return 0;
 }
@@ -188,6 +201,7 @@ int cmd_pipeline(int argc, char** argv) {
       return 1;
     }
     io::export_pipeline(result, out);
+    if (!close_export(out, out_path)) return 1;
     std::printf("wrote per-operator results to %s\n", out_path.c_str());
   }
   return 0;
@@ -208,6 +222,7 @@ int cmd_atlas(int argc, char** argv) {
     return 1;
   }
   const std::size_t rows = io::export_traceroutes(dataset, out);
+  if (!close_export(out, out_path)) return 1;
   std::printf("validated probes: %zu; wrote %zu traceroutes to %s\n",
               ripe::validated_probe_ids(dataset).size(), rows, out_path.c_str());
   return 0;
@@ -240,6 +255,7 @@ int cmd_report(int argc, char** argv) {
     return 1;
   }
   out << io::study_report(dataset, result, atlas);
+  if (!close_export(out, out_path)) return 1;
   std::printf("wrote study report to %s\n", out_path.c_str());
   return 0;
 }

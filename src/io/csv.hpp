@@ -3,6 +3,9 @@
 // (pandas/matplotlib/R) exactly like the paper's own BigQuery pulls.
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -14,23 +17,63 @@
 
 namespace satnet::io {
 
-/// Minimal RFC-4180-style CSV writer: quotes fields containing commas,
-/// quotes, or newlines; one row() call per record.
+/// Minimal RFC-4180-style CSV writer that appends typed fields to one
+/// reused buffer and hands it to the stream in chunks of about
+/// kFlushBytes, so it never holds more than one chunk of the file.
+/// Fields containing commas, quotes, or newlines are quoted; doubles are
+/// written as printf("%.4f") would write them in the C locale.
+///
+///   csv.header({"a", "b"});
+///   csv.field(1).field(2.5).end_row();   // "1,2.5000\n"
+///   csv.flush();
 class CsvWriter {
  public:
-  explicit CsvWriter(std::ostream& out) : out_(out) {}
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
 
-  /// Writes the header row; must be the first call.
+  explicit CsvWriter(std::ostream& out);
+  /// Flushes the complete rows still buffered; call flush() first when
+  /// the caller needs to see the stream's state afterwards.
+  ~CsvWriter();
+  CsvWriter(const CsvWriter&) = delete;
+  CsvWriter& operator=(const CsvWriter&) = delete;
+
+  /// Starts the file with the header row; must be the first call.
   void header(const std::vector<std::string_view>& columns);
-  /// Writes one data row; size must match the header.
-  void row(const std::vector<std::string>& fields);
+
+  /// Appends one field to the current row.
+  CsvWriter& field(std::string_view v);
+  /// Without this overload a string literal would bind to field(bool).
+  CsvWriter& field(const char* v) { return field(std::string_view(v)); }
+  CsvWriter& field(double v);
+  /// `0` or `1`.
+  CsvWriter& field(bool v);
+  /// Integers as std::to_string writes them. `char` is excluded so a
+  /// character is never written as its code; pass a string_view.
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+  CsvWriter& field(T v) {
+    begin_field();
+    char text[24];
+    buf_.append(text, std::to_chars(text, text + sizeof(text), v).ptr);
+    return *this;
+  }
+
+  /// Ends the current row; its field count must match the header. A
+  /// rejected row is discarded.
+  void end_row();
+
+  /// Writes every complete row to the stream.
+  void flush();
 
   std::size_t rows_written() const { return rows_; }
 
-  static std::string escape(std::string_view field);
-
  private:
+  void begin_field();
+
   std::ostream& out_;
+  std::string buf_;
+  std::size_t row_start_ = 0;  ///< offset of the current row in buf_
+  std::size_t fields_ = 0;     ///< fields in the current row
   std::size_t columns_ = 0;
   std::size_t rows_ = 0;
 };

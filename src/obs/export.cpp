@@ -33,8 +33,20 @@ std::string fmt_double(double v) {
 // ---- minimal JSON field extraction (parses only our own flat output:
 // string / number / numeric-array values, no nesting). ----
 
+/// `"key":` followed by `open`. Built by appending: GCC 12 reports a
+/// false -Wrestrict on the equivalent operator+ chain at -O3.
+std::string key_pattern(const char* key, const char* open) {
+  std::string pat;
+  pat.reserve(std::strlen(key) + std::strlen(open) + 3);
+  pat += '"';
+  pat += key;
+  pat += "\":";
+  pat += open;
+  return pat;
+}
+
 bool json_string(const std::string& line, const char* key, std::string* out) {
-  const std::string pat = "\"" + std::string(key) + "\":\"";
+  const std::string pat = key_pattern(key, "\"");
   const auto pos = line.find(pat);
   if (pos == std::string::npos) return false;
   std::string value;
@@ -62,7 +74,7 @@ bool json_string(const std::string& line, const char* key, std::string* out) {
 }
 
 bool json_number(const std::string& line, const char* key, double* out) {
-  const std::string pat = "\"" + std::string(key) + "\":";
+  const std::string pat = key_pattern(key, "");
   const auto pos = line.find(pat);
   if (pos == std::string::npos) return false;
   const char* start = line.c_str() + pos + pat.size();
@@ -74,7 +86,7 @@ bool json_number(const std::string& line, const char* key, double* out) {
 }
 
 bool json_array(const std::string& line, const char* key, std::vector<double>* out) {
-  const std::string pat = "\"" + std::string(key) + "\":[";
+  const std::string pat = key_pattern(key, "[");
   const auto pos = line.find(pat);
   if (pos == std::string::npos) return false;
   out->clear();

@@ -95,17 +95,16 @@ std::vector<Probe> starlink_probe_candidates() {
     }
   }
 
-  // Decoys: metadata claims Starlink but traceroutes say otherwise.
-  {
-    Probe p;
-    p.id = next_id++;
-    p.country = "US";
-    p.us_state = "TX";
-    p.location = {30.3, -97.7, 0.0};
-    p.start_day = 0;
-    p.stale_asn = true;  // user switched to cable; probes table not updated
-    probes.push_back(std::move(p));
-  }
+  // Decoys: metadata claims Starlink but traceroutes say otherwise. The
+  // first is one aggregate: GCC 12 at -O3 reports a false
+  // -Wmaybe-uninitialized on the member-by-member form.
+  probes.push_back({.id = next_id++,
+                    .country = "US",
+                    .us_state = "TX",
+                    .location = {30.3, -97.7, 0.0},
+                    .start_day = 0,
+                    // user switched to cable; probes table not updated
+                    .stale_asn = true});
   {
     Probe p;
     p.id = next_id++;

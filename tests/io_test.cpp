@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "io/csv.hpp"
@@ -21,29 +28,57 @@ namespace {
 
 // ------------------------------------------------------------- CsvWriter
 
+/// The text the writer produces for `v` as the only field of a row,
+/// without the header and the row's newline. The destructor flushes.
+template <typename T>
+std::string one_field(T v) {
+  std::ostringstream out;
+  {
+    CsvWriter csv(out);
+    csv.header({"x"});
+    csv.field(v).end_row();
+  }
+  const std::string text = out.str();
+  return text.substr(2, text.size() - 3);
+}
+
+std::string printf_4f(double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.4f", v);
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
 TEST(CsvWriterTest, PlainFieldsUnquoted) {
-  EXPECT_EQ(CsvWriter::escape("hello"), "hello");
-  EXPECT_EQ(CsvWriter::escape("12.5"), "12.5");
+  EXPECT_EQ(one_field("hello"), "hello");
+  EXPECT_EQ(one_field("12.5"), "12.5");
 }
 
 TEST(CsvWriterTest, CommaTriggersQuoting) {
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(one_field("a,b"), "\"a,b\"");
 }
 
 TEST(CsvWriterTest, QuotesDoubled) {
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(one_field("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
 TEST(CsvWriterTest, NewlineQuoted) {
-  EXPECT_EQ(CsvWriter::escape("a\nb"), "\"a\nb\"");
+  EXPECT_EQ(one_field("a\nb"), "\"a\nb\"");
+  EXPECT_EQ(one_field("a\rb"), "\"a\rb\"");
 }
 
 TEST(CsvWriterTest, HeaderThenRows) {
   std::ostringstream out;
   CsvWriter csv(out);
   csv.header({"a", "b"});
-  csv.row({"1", "2"});
-  csv.row({"3", "x,y"});
+  csv.field(1).field(2).end_row();
+  csv.field(3).field("x,y").end_row();
+  csv.flush();
   EXPECT_EQ(out.str(), "a,b\n1,2\n3,\"x,y\"\n");
   EXPECT_EQ(csv.rows_written(), 2u);
 }
@@ -52,13 +87,20 @@ TEST(CsvWriterTest, RowWidthEnforced) {
   std::ostringstream out;
   CsvWriter csv(out);
   csv.header({"a", "b"});
-  EXPECT_THROW(csv.row({"only one"}), std::invalid_argument);
+  csv.field("only one");
+  EXPECT_THROW(csv.end_row(), std::invalid_argument);
+  // The rejected row leaves no trace; the next one is written whole.
+  csv.field(1).field(2).end_row();
+  csv.flush();
+  EXPECT_EQ(out.str(), "a,b\n1,2\n");
+  EXPECT_EQ(csv.rows_written(), 1u);
 }
 
 TEST(CsvWriterTest, RowBeforeHeaderThrows) {
   std::ostringstream out;
   CsvWriter csv(out);
-  EXPECT_THROW(csv.row({"x"}), std::logic_error);
+  EXPECT_THROW(csv.field("x"), std::logic_error);
+  EXPECT_THROW(csv.end_row(), std::logic_error);
 }
 
 TEST(CsvWriterTest, DoubleHeaderThrows) {
@@ -66,6 +108,86 @@ TEST(CsvWriterTest, DoubleHeaderThrows) {
   CsvWriter csv(out);
   csv.header({"a"});
   EXPECT_THROW(csv.header({"a"}), std::logic_error);
+}
+
+TEST(CsvWriterTest, BuffersAtMostOneChunk) {
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.header({"probe_id", "t_sec", "pop"});
+  std::size_t total = std::string("probe_id,t_sec,pop\n").size();
+  for (int i = 0; i < 200000; ++i) {
+    const double t = 28800.0 * i;
+    csv.field(i).field(t).field("wrswpol1").end_row();
+    total += std::to_string(i).size() + printf_4f(t).size() + 11;
+    ASSERT_LE(total - static_cast<std::size_t>(out.tellp()), CsvWriter::kFlushBytes)
+        << "row " << i;
+  }
+  EXPECT_GT(total, 3 * CsvWriter::kFlushBytes);
+  csv.flush();
+  EXPECT_EQ(out.str().size(), total);
+}
+
+// [charconv] defines to_chars with a precision as printf in the C
+// locale; these pin that for the "%.4f" the exports have always used.
+TEST(CsvWriterTest, DoubleFieldMatchesPrintf) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cases[] = {
+      0.0, -0.0, -0.00004, 0.00005, -0.00005, 0.00015,
+      0.03125, -0.09375,  // exact ties at the fourth decimal
+      0x1p53, 1e300, -1e300, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(), nan, -nan, inf, -inf,
+      // year-scale t_sec values of the Atlas and NDT campaigns
+      20164.876162, 31622400.0, 31622399.99995, 31535999.123449999,
+      483659.25565};
+  for (const double v : cases) {
+    EXPECT_EQ(one_field(v), printf_4f(v)) << "value " << v;
+  }
+}
+
+TEST(CsvWriterTest, DoubleFieldMatchesPrintfOnRandomBits) {
+  std::mt19937_64 gen(0x5a7e11173);
+  std::vector<double> values;
+  for (int i = 0; i < 100000; ++i) values.push_back(from_bits(gen()));
+  // Values next to a rounding tie at the fourth decimal, where a
+  // formatter that rounds through binary arithmetic goes wrong.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 100000; ++i) {
+    const double tie = (static_cast<double>(gen() % 400000000000ULL) + 0.5) / 1e4;
+    values.push_back(i % 3 == 0 ? tie : std::nextafter(tie, i % 3 == 1 ? inf : -inf));
+  }
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.header({"v"});
+  std::string expected = "v\n";
+  for (const double v : values) {
+    csv.field(v).end_row();
+    expected += printf_4f(v);
+    expected += '\n';
+  }
+  csv.flush();
+  const std::string actual = out.str();
+  std::size_t mismatches = 0;
+  std::istringstream got(actual), want(expected);
+  std::string g, w;
+  while (std::getline(got, g) && std::getline(want, w)) {
+    if (g != w && ++mismatches <= 5) {
+      ADD_FAILURE() << "to_chars " << g << " vs printf " << w;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(actual.size(), expected.size());
+}
+
+TEST(CsvWriterTest, IntegerFieldsMatchToString) {
+  EXPECT_EQ(one_field(INT_MIN), std::to_string(INT_MIN));
+  EXPECT_EQ(one_field(INT_MAX), std::to_string(INT_MAX));
+  EXPECT_EQ(one_field(SIZE_MAX), std::to_string(SIZE_MAX));
+  EXPECT_EQ(one_field(LLONG_MIN), std::to_string(LLONG_MIN));
+  EXPECT_EQ(one_field(0), "0");
+  EXPECT_EQ(one_field(std::uint32_t{4294967295U}), "4294967295");
+  EXPECT_EQ(one_field(true), "1");
+  EXPECT_EQ(one_field(false), "0");
 }
 
 // --------------------------------------------------------------- exports

@@ -139,8 +139,12 @@ class FloatNames {
 // ---------------------------------------------------------------------------
 
 bool path_has_dir(std::string_view path, std::string_view dir) {
-  const std::string needle = "/" + std::string(dir) + "/";
-  const std::string prefix = std::string(dir) + "/";
+  // Appended, not operator+: GCC 12 reports a false -Wrestrict on the
+  // chain at -O3.
+  std::string prefix(dir);
+  prefix += '/';
+  std::string needle = "/";
+  needle += prefix;
   return path.find(needle) != std::string_view::npos ||
          path.substr(0, prefix.size()) == prefix;
 }
