@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "geo/geodesy.hpp"
 #include "geo/places.hpp"
@@ -176,23 +177,31 @@ TEST(PlacesTest, AnchorageSeattleDistanceMatchesPaperScenario) {
   EXPECT_NEAR(d, 2290, 150);  // great-circle; the paper quotes road-ish distance
 }
 
-class ContinentParam
-    : public ::testing::TestWithParam<std::pair<const char*, Continent>> {};
+struct CountryCase {
+  const char* code;
+  Continent continent;
+};
+
+// Printing the code (not the default pointer dump) keeps the discovered
+// ctest names stable across runs: they embed the printed parameter.
+std::ostream& operator<<(std::ostream& os, const CountryCase& c) { return os << c.code; }
+
+class ContinentParam : public ::testing::TestWithParam<CountryCase> {};
 
 TEST_P(ContinentParam, MapsCorrectly) {
-  EXPECT_EQ(continent_of(GetParam().first), GetParam().second);
+  EXPECT_EQ(continent_of(GetParam().code), GetParam().continent);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Countries, ContinentParam,
-    ::testing::Values(std::pair{"GB", Continent::europe},
-                      std::pair{"FR", Continent::europe},
-                      std::pair{"AU", Continent::oceania},
-                      std::pair{"FJ", Continent::oceania},
-                      std::pair{"JP", Continent::asia},
-                      std::pair{"BR", Continent::south_america},
-                      std::pair{"CA", Continent::north_america},
-                      std::pair{"NG", Continent::africa}));
+    ::testing::Values(CountryCase{"GB", Continent::europe},
+                      CountryCase{"FR", Continent::europe},
+                      CountryCase{"AU", Continent::oceania},
+                      CountryCase{"FJ", Continent::oceania},
+                      CountryCase{"JP", Continent::asia},
+                      CountryCase{"BR", Continent::south_america},
+                      CountryCase{"CA", Continent::north_america},
+                      CountryCase{"NG", Continent::africa}));
 
 }  // namespace
 }  // namespace satnet::geo
