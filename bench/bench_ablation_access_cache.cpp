@@ -1,20 +1,20 @@
 // Ablation: the access-interval visibility index (orbit/access_index).
-// Re-runs two representative workloads with the index enabled and
-// disabled, asserts the outputs are byte-identical, and reports the
-// speedup:
-//  * a handoff census — measure_handoffs over a fleet of terminals, the
-//    epoch-densest consumer of serving-satellite selection;
-//  * the standard M-Lab NDT campaign at the benches' usual scale.
-// The cache is a pure accelerator: any fingerprint divergence here is a
-// bug (exit 1), backstopping the golden and determinism suites.
+// The index exists only for SGP4 constellations, where it amortizes the
+// per-epoch batch frame, so the ablation runs on an SGP4 build of the
+// Starlink shells. A handoff census — sample_with_handoff over a fleet
+// of terminals, the epoch-densest consumer of serving-satellite
+// selection — runs with the index enabled and disabled; the bench
+// asserts the outputs are byte-identical and reports the speedup. The cache is a pure accelerator: any fingerprint
+// divergence here is a bug (exit 1), backstopping the golden and
+// determinism suites.
 //
-// Writes BENCH_access_cache.json (cwd) with the timings, speedups, and
+// Writes BENCH_access_cache.json (cwd) with the timings, speedup, and
 // cache hit/miss counters for CI trend tracking. The bench toggles the
 // cache itself, so --no-access-cache has no effect on this binary.
 //
-// Since the epoch timeline landed (orbit/timeline), campaigns replay
-// precomputed access state and the index only serves timeline misses.
-// This ablation disables the timeline for its A/B rows so the index is
+// Campaigns replay precomputed access state from the epoch timeline
+// (orbit/timeline), and the index only serves timeline misses. This
+// ablation disables the timeline for its A/B rows so the index is
 // actually on the hot path being measured; bench_timeline owns the
 // timeline-vs-on-demand comparison.
 #include "bench/bench_common.hpp"
@@ -51,9 +51,12 @@ const geo::GeoPoint kFleet[] = {
     {14.60, 120.98, 0},   // manila
 };
 
+/// Starlink's access network over SGP4-propagated shells: the only
+/// orbit model with an access index.
 const orbit::AccessNetwork& starlink() {
-  static const orbit::AccessNetwork net =
-      orbit::make_starlink_access(bench::world().starlink_constellation());
+  static const orbit::AccessNetwork net = orbit::make_starlink_access(
+      std::make_shared<const orbit::Constellation>(orbit::starlink_shells(),
+                                                   orbit::OrbitModel::sgp4));
   return net;
 }
 
@@ -70,20 +73,20 @@ struct Fingerprint {
   void mix(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
 };
 
-/// The census: every terminal scans an hour of reconfiguration epochs
-/// through sample_with_handoff — the jitter-model entry point, which
-/// needs both the current and the previous epoch's serving satellite.
-/// Uncached that is two full constellation sweeps per epoch; with the
-/// index the previous epoch is a memo hit and the current one an
-/// interval lookup. Four terminals per city share a ground cell, so
-/// slab candidate lists amortize across the metro fleet like they do in
-/// a real campaign.
+/// The census: every terminal scans 30 reconfiguration epochs (7.5
+/// minutes) through sample_with_handoff — the jitter-model entry point,
+/// which needs both the current and the previous epoch's serving
+/// satellite. Uncached that is two whole-constellation SGP4 frames per
+/// epoch; with the index the previous epoch is a memo hit and the
+/// current one an interval lookup over a per-slab candidate list. Four
+/// terminals per city share a ground cell, so slab candidate lists
+/// amortize across the metro fleet like they do in a real campaign.
 std::uint64_t handoff_census() {
   Fingerprint fp;
   for (const auto& city : kFleet) {
     for (int j = 0; j < 4; ++j) {
       const geo::GeoPoint user{city.lat_deg + 0.05 * j, city.lon_deg + 0.07 * j, 0};
-      for (int e = 1; e <= 240; ++e) {
+      for (int e = 1; e <= 30; ++e) {
         const auto s = starlink().sample_with_handoff(user, 15.0 * e);
         fp.mix(static_cast<std::uint64_t>(s.reachable));
         if (!s.reachable) continue;
@@ -95,14 +98,6 @@ std::uint64_t handoff_census() {
     }
   }
   return fp.h;
-}
-
-std::uint64_t mlab_hash() {
-  mlab::CampaignConfig cfg;
-  cfg.volume_scale = 0.002;
-  cfg.min_tests_per_sno = 30;
-  cfg.threads = bench::threads();
-  return mlab::run_campaign(bench::world(), cfg).hash();
 }
 
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
@@ -153,7 +148,7 @@ std::uint64_t counter_value(const char* name) {
 
 void print_ablation() {
   bench::header("Ablation: access-interval index",
-                "same campaigns, cache on vs off (cone-prefilter sweep)");
+                "SGP4 Starlink handoff census, cache on vs off (batch-frame sweep)");
 
   // Ablate the timeline for the whole A/B: with replay active the index
   // never runs and both rows would measure the same binary searches.
@@ -164,7 +159,6 @@ void print_ablation() {
   const std::uint64_t misses0 = counter_value("access.cache.miss");
 
   const AblationRow census = run_ablation("handoff census", handoff_census);
-  const AblationRow campaign = run_ablation("mlab campaign", mlab_hash);
 
   const std::uint64_t hits = counter_value("access.cache.hit") - hits0;
   const std::uint64_t misses = counter_value("access.cache.miss") - misses0;
@@ -173,23 +167,19 @@ void print_ablation() {
                         : 0.0;
   const double census_speedup =
       census.cached_ms > 0 ? census.uncached_ms / census.cached_ms : 0.0;
-  const double campaign_speedup =
-      campaign.cached_ms > 0 ? campaign.uncached_ms / campaign.cached_ms : 0.0;
 
   std::printf("  %-16s %12s %12s %9s\n", "workload", "uncached ms", "cached ms",
               "speedup");
   std::printf("  %-16s %12.1f %12.1f %8.2fx\n", "handoff census", census.uncached_ms,
               census.cached_ms, census_speedup);
-  std::printf("  %-16s %12.1f %12.1f %8.2fx\n", "mlab campaign", campaign.uncached_ms,
-              campaign.cached_ms, campaign_speedup);
   std::printf("  cache: %llu hits / %llu misses (%.1f%% hit ratio)\n",
               static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(misses), hit_ratio * 100.0);
   std::printf("  outputs byte-identical cache on/off: yes (asserted)\n");
   std::printf("  handoff-census speedup target >= 2x: %s\n",
               census_speedup >= 2.0 ? "met" : "NOT MET");
-  bench::note("mlab campaign is transport-simulation-bound; orbit sampling is a "
-              "small slice there, so the index mostly rides along");
+  bench::note("Walker networks have no index: their plane-window sweep is already "
+              "as cheap as a candidate list");
 
   std::FILE* out = std::fopen("BENCH_access_cache.json", "w");
   if (out == nullptr) {
@@ -201,13 +191,10 @@ void print_ablation() {
                "  \"bench\": \"bench_ablation_access_cache\",\n"
                "  \"handoff_census\": {\"uncached_ms\": %.1f, \"cached_ms\": %.1f, "
                "\"speedup\": %.2f},\n"
-               "  \"mlab_campaign\": {\"uncached_ms\": %.1f, \"cached_ms\": %.1f, "
-               "\"speedup\": %.2f},\n"
                "  \"cache\": {\"hits\": %llu, \"misses\": %llu, \"hit_ratio\": %.4f},\n"
                "  \"outputs_identical\": true\n"
                "}\n",
                census.uncached_ms, census.cached_ms, census_speedup,
-               campaign.uncached_ms, campaign.cached_ms, campaign_speedup,
                static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses), hit_ratio);
   std::fclose(out);

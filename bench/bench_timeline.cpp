@@ -7,7 +7,7 @@
 // Two further workloads isolate what the timeline actually replaces:
 //  * the campaign's own access schedule (planned_access_queries — the
 //    exact (terminal, t) set the shards will ask for), replayed from the
-//    warm snapshot vs derived on demand through the PR 5 index. This is
+//    warm snapshot vs derived on demand (the window-gate sweep). This is
 //    the ≥2x acceptance workload: the campaign end to end is
 //    transport-simulation-bound (the TCP round loop dominates; see the
 //    Amdahl row printed below), so the honest place to demand 2x is the
@@ -81,8 +81,8 @@ struct CampaignRound {
   std::size_t records = 0;
 };
 
-/// One campaign run over a fresh world, so per-network index memos and
-/// slab caches start cold and every mode pays its own honest cost.
+/// One campaign run over a fresh world, so per-thread frame memos start
+/// cold and every mode pays its own honest cost.
 CampaignRound run_campaign_round() {
   const synth::World world;
   const mlab::CampaignConfig cfg = campaign_config();
@@ -227,11 +227,11 @@ void print_timeline_bench() {
               e2e_speedup);
   bench::note("end to end is transport-simulation-bound (the TCP round loop");
   bench::note("dominates), so the Amdahl ceiling caps this row well under the");
-  bench::note("access-layer speedups below — same honest split as BENCH_access_cache");
+  bench::note("access-layer speedups below");
 
   // --- the campaign's access schedule, replay vs on-demand ---------
-  // Fresh worlds per mode: the on-demand round pays the index slab
-  // builds a real campaign pays; the warm round replays the snapshot
+  // Fresh worlds per mode: the on-demand round pays every serving
+  // decision a real campaign pays; the warm round replays the snapshot
   // the campaign rounds above installed (same network identity).
   orbit::set_timeline_enabled(false);
   const synth::World ondemand_world;
@@ -247,7 +247,7 @@ void print_timeline_bench() {
   const double sched_speedup =
       sched_warm.wall_ms > 0 ? sched_ondemand.wall_ms / sched_warm.wall_ms : 0;
   std::printf("  %-34s %10s %9s\n", "mlab access schedule", "wall ms", "speedup");
-  std::printf("  %-34s %10.0f %8.2fx   (%zu queries)\n", "  on-demand (index)",
+  std::printf("  %-34s %10.0f %8.2fx   (%zu queries)\n", "  on-demand (sweep)",
               sched_ondemand.wall_ms, 1.0, sched_ondemand.queries);
   std::printf("  %-34s %10.0f %8.2fx   (%llu replay hits)\n", "  warm replay",
               sched_warm.wall_ms, sched_speedup,
@@ -270,7 +270,7 @@ void print_timeline_bench() {
   const double census_speedup =
       census_warm.wall_ms > 0 ? census_ondemand.wall_ms / census_warm.wall_ms : 0;
   std::printf("  %-34s %10s %9s\n", "handoff census", "wall ms", "speedup");
-  std::printf("  %-34s %10.0f %8.2fx\n", "  on-demand (index)", census_ondemand.wall_ms,
+  std::printf("  %-34s %10.0f %8.2fx\n", "  on-demand (sweep)", census_ondemand.wall_ms,
               1.0);
   std::printf("  %-34s %10.0f %8.2fx   (build %.0f ms amortized out)\n",
               "  warm replay", census_warm.wall_ms, census_speedup, census_build_ms);
@@ -335,32 +335,14 @@ void BM_sample_replay(benchmark::State& state) {
 }
 BENCHMARK(BM_sample_replay)->Unit(benchmark::kMicrosecond);
 
-// The index's best case: every epoch already memoized for this user.
-// Faster than the timeline's binary search per lookup, but the memo is
-// per-network warm state a fresh campaign pays to fill — the schedule
-// rows above price that honestly.
-void BM_sample_index_hot(benchmark::State& state) {
-  const orbit::AccessNetwork& net = kernel_net();
-  orbit::set_timeline_enabled(false);
-  int e = 0;
-  for (auto _ : state) {
-    e = e % 240 + 1;
-    benchmark::DoNotOptimize(net.sample(kFleet[0], 15.0 * e));
-  }
-  orbit::set_timeline_enabled(true);
-}
-BENCHMARK(BM_sample_index_hot)->Unit(benchmark::kMicrosecond);
-
 void BM_sample_sweep(benchmark::State& state) {
   const orbit::AccessNetwork& net = kernel_net();
   orbit::set_timeline_enabled(false);
-  orbit::set_access_cache_enabled(false);
   int e = 0;
   for (auto _ : state) {
     e = e % 240 + 1;
     benchmark::DoNotOptimize(net.sample(kFleet[0], 15.0 * e));
   }
-  orbit::set_access_cache_enabled(true);
   orbit::set_timeline_enabled(true);
 }
 BENCHMARK(BM_sample_sweep)->Unit(benchmark::kMicrosecond);

@@ -50,7 +50,8 @@
 //
 // Ablation: --no-access-cache disables the access-interval visibility
 // index (src/orbit/access_index.*) so every sample re-runs the full
-// cone-prefilter sweep. Output is byte-identical either way.
+// cone-prefilter sweep. Only SGP4 networks have an index, so the flag
+// affects SGP4 networks only. Output is byte-identical either way.
 //
 // Timeline: campaign-running commands precompute the epoch timeline
 // before sharding (src/orbit/timeline.*) and replay it as pure lookups.
@@ -390,8 +391,9 @@ int main(int argc, char** argv) {
                  "stalled pool workers,\n"
                  "and --fault-plan PATH [--retries N] [--degrade] to inject\n"
                  "a deterministic fault schedule (see README, src/fault)\n"
-                 "--no-access-cache ablates the access-interval index\n"
-                 "(byte-identical output, slower sampling)\n"
+                 "--no-access-cache ablates the access-interval index of\n"
+                 "SGP4 networks (Walker networks have none; byte-identical\n"
+                 "output, slower sampling)\n"
                  "--no-timeline ablates the epoch-timeline precompute;\n"
                  "--timeline-in PATH warm-starts from a saved timeline and\n"
                  "--timeline-out PATH saves the built one (byte-identical\n"

@@ -21,7 +21,12 @@ AccessNetwork::AccessNetwork(AccessConfig config,
   if (config_.pops.empty() || config_.gateways.empty()) {
     throw std::invalid_argument("access network needs PoPs and gateways");
   }
-  index_ = std::make_shared<const AccessIndex>(config_, constellation_);
+  // The index amortizes SGP4's per-epoch frame propagation. Walker
+  // serving decisions are already as cheap as its candidate lists
+  // (walker_cone_sweep's plane windows), so Walker networks have none.
+  if (constellation_->model() == OrbitModel::sgp4) {
+    index_ = std::make_shared<const AccessIndex>(config_, constellation_);
+  }
   identity_hash_ = access_identity_hash(config_, constellation_.get());
 }
 
@@ -67,16 +72,8 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
       switch (tl->replay_serving(user, epoch_sec, &id)) {
         case EpochTimeline::ServingReplay::outage:
           return std::nullopt;
-        case EpochTimeline::ServingReplay::serving: {
-          // Reconstruct exactly as the index's serving memo does: id,
-          // position, elevation, and slant range are pure functions of
-          // (id, epoch), so the VisibleSat is bit-identical to the
-          // on-demand sweep's.
-          const geo::GeoPoint pos = constellation_->position(id, epoch_sec);
-          return VisibleSat{
-              id, pos, geo::elevation_deg(user, pos),
-              geo::slant_range_km(geo::GeoPoint{user.lat_deg, user.lon_deg, 0.0}, pos)};
-        }
+        case EpochTimeline::ServingReplay::serving:
+          return serving_visible_sat(user, id, epoch_sec);
         case EpochTimeline::ServingReplay::miss:
           break;  // uncovered epoch: fall through to the index / sweep
       }
@@ -84,6 +81,13 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
   }
   if (index_ && access_cache_enabled()) return index_->serving(user, epoch_sec);
   return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
+}
+
+VisibleSat AccessNetwork::serving_visible_sat(const geo::GeoPoint& user, const SatId& id,
+                                              double epoch_sec) const {
+  const geo::GeoPoint pos = constellation_->position(id, epoch_sec);
+  return VisibleSat{id, pos, geo::elevation_deg(user, pos),
+                    geo::slant_range_km(geo::GeoPoint{user.lat_deg, user.lon_deg, 0.0}, pos)};
 }
 
 double AccessNetwork::effective_reconfig_interval(double t_sec) const {

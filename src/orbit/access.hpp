@@ -111,8 +111,9 @@ class AccessNetwork {
   /// only, best epoch alignment) — used by analytics as the "floor".
   double floor_one_way_ms(const geo::GeoPoint& user, double t_sec) const;
 
-  /// The network's visibility index (null for GEO) — exposed so tests
-  /// can assert the candidate-superset property directly.
+  /// The network's visibility index: built for SGP4 constellations only
+  /// (null for Walker and GEO) — exposed so tests can assert the
+  /// candidate-superset property directly.
   const AccessIndex* access_index() const { return index_.get(); }
 
   /// Stable identity over everything that feeds sample values (see
@@ -126,6 +127,11 @@ class AccessNetwork {
 
   std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
                                                  double epoch_sec) const;
+  /// The VisibleSat of a known serving satellite (LEO/MEO only). Position,
+  /// elevation and slant range are pure functions of (id, epoch), so this
+  /// equals the value the sweep that chose `id` computed, bit for bit.
+  VisibleSat serving_visible_sat(const geo::GeoPoint& user, const SatId& id,
+                                 double epoch_sec) const;
   /// Reconfiguration interval at time t: the configured interval, divided
   /// by the fault hook's handoff-storm scale when a storm window covers t.
   double effective_reconfig_interval(double t_sec) const;
@@ -137,7 +143,7 @@ class AccessNetwork {
   AccessConfig config_;
   std::shared_ptr<const Constellation> constellation_;  ///< null for GEO
   GeoFleet fleet_;                                      ///< empty for LEO/MEO
-  /// Visibility index + epoch memo (LEO/MEO only; null for GEO). Shared
+  /// Visibility index + epoch memo (SGP4 only; null otherwise). Shared
   /// across copies: the index holds only immutable derived data, and its
   /// caches are value-transparent (see access_index.hpp).
   std::shared_ptr<const AccessIndex> index_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "fault/hook.hpp"
@@ -23,9 +24,9 @@ constexpr double kPi = 3.14159265358979323846;
 constexpr double kCellDeg = 1.0;
 constexpr double kCellHalfDiagRad = 0.7072 * kPi / 180.0;
 
-/// Extra gate slack absorbing the rotation-recurrence rounding of the
-/// candidate sweep (same idea as best_visible's 1e-6, widened since the
-/// index gate is reused across a whole slab).
+/// Extra gate slack absorbing frame rounding (same idea as
+/// best_visible's 1e-6, widened since the index gate is reused across a
+/// whole slab).
 constexpr double kRoundingSlackRad = 1e-3;
 
 /// Soft bounds on the thread-local maps; crossing one clears that map
@@ -158,13 +159,11 @@ struct AccessIndex::Impl {
   /// Era boundaries that exist without any fault plan: the PoP override
   /// activation edges. Sorted, deduplicated, finite.
   std::vector<double> static_boundaries;
-  /// Per-shell cone gate at slab granularity: cos(theta_max + cell
-  /// half-diagonal + motion slack + rounding slack).
-  std::vector<double> cos_gate;
-  /// Single slab-granularity gate for the SGP4 backend, from the
-  /// propagator's conservative altitude/rate bounds (altitude varies per
-  /// satellite there, so one worst-case gate covers the catalog).
-  double sgp4_cos_gate = 2.0;
+  /// Slab-granularity cone gate, cos(theta_max + cell half-diagonal +
+  /// motion slack + rounding slack), from the propagator's conservative
+  /// altitude/rate bounds (altitude varies per satellite, so one
+  /// worst-case gate covers the catalog).
+  double cos_gate = 2.0;
 
   void refresh_eras(ThreadCache& tc, const fault::Hook* hook) const;
   const std::vector<SatId>& slab_candidates(ThreadCache& tc, const SlabKey& key) const;
@@ -207,11 +206,10 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(ThreadCache& tc,
   }
   counters().slab_build.add(1);
 
-  // One cone sweep per (cell, slab), sampled at the slab midpoint with
-  // the gate widened so every satellite that can clear min_elevation_deg
-  // from anywhere in the cell at any instant of the slab passes. Same
-  // incremental-rotation sweep as Constellation::best_visible, same
-  // canonical (shell, plane, index) order.
+  // One cone test per (cell, slab) over the batch frame at the slab
+  // midpoint, with the gate widened so every satellite that can clear
+  // min_elevation_deg from anywhere in the cell at any instant of the
+  // slab passes. Frame order is canonical (shell, plane, index) order.
   const double t_mid = (static_cast<double>(key.slab) + 0.5) * slab_sec;
   const double clat =
       geo::deg_to_rad((static_cast<double>(key.cell_lat) + 0.5) * kCellDeg);
@@ -222,21 +220,11 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(ThreadCache& tc,
   const double gz = std::sin(clat);
 
   std::vector<SatId> cands;
-  if (constellation->model() == OrbitModel::walker) {
-    walker_cone_sweep(
-        constellation->shells(), gx, gy, gz, t_mid,
-        [&](std::size_t s) { return cos_gate[s]; },
-        [&](std::size_t s, std::size_t p, std::size_t i) {
-          cands.push_back(SatId{s, p, i});
-        });
-  } else {
-    const auto& prop =
-        static_cast<const Sgp4Propagator&>(constellation->propagator());
-    const BatchFrame& frame = prop.frame_at(t_mid);
-    for (std::size_t f = 0; f < frame.size(); ++f) {
-      if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] >= sgp4_cos_gate) {
-        cands.push_back(constellation->sat_id_from_flat(f));
-      }
+  const auto& prop = static_cast<const Sgp4Propagator&>(constellation->propagator());
+  const BatchFrame& frame = prop.frame_at(t_mid);
+  for (std::size_t f = 0; f < frame.size(); ++f) {
+    if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] >= cos_gate) {
+      cands.push_back(constellation->sat_id_from_flat(f));
     }
   }
   return tc.slabs.emplace(key, std::move(cands)).first->second;
@@ -298,6 +286,9 @@ void set_access_cache_enabled(bool enabled) {
 
 AccessIndex::AccessIndex(const AccessConfig& config,
                          std::shared_ptr<const Constellation> constellation) {
+  if (!constellation || constellation->model() != OrbitModel::sgp4) {
+    throw std::invalid_argument("AccessIndex: needs an SGP4 constellation");
+  }
   auto impl = std::make_unique<Impl>();
   impl->id = next_index_id();
   impl->constellation = std::move(constellation);
@@ -316,35 +307,20 @@ AccessIndex::AccessIndex(const AccessConfig& config,
       impl->static_boundaries.end());
 
   const double e_min = geo::deg_to_rad(config.min_elevation_deg);
-  for (const Shell& shell : impl->constellation->shells()) {
-    const double ratio =
-        geo::kEarthRadiusKm / (geo::kEarthRadiusKm + shell.altitude_km);
-    const double theta_max =
-        std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
-    // A satellite's ECEF direction is the composition of the orbital
-    // rotation and Earth's rotation, so its angular rate is bounded by
-    // the sum of the two; half a slab away from the midpoint sample the
-    // direction has moved at most rate * slab/2.
-    const double motion_slack =
-        (shell.mean_motion_rad_per_sec() + kEarthRotationRadPerSec) * impl->slab_sec /
-        2.0;
-    impl->cos_gate.push_back(
-        std::cos(std::min(kPi, theta_max + kCellHalfDiagRad + motion_slack +
-                                   kRoundingSlackRad)));
-  }
-  if (impl->constellation->model() == OrbitModel::sgp4) {
-    const Propagator& prop = impl->constellation->propagator();
-    const double ratio =
-        geo::kEarthRadiusKm / (geo::kEarthRadiusKm + prop.max_gate_altitude_km());
-    const double theta_max =
-        std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
-    const double motion_slack =
-        (prop.max_angular_rate_rad_per_sec() + kEarthRotationRadPerSec) *
-        impl->slab_sec / 2.0;
-    impl->sgp4_cos_gate =
-        std::cos(std::min(kPi, theta_max + kCellHalfDiagRad + motion_slack +
-                                   kRoundingSlackRad));
-  }
+  const Propagator& prop = impl->constellation->propagator();
+  const double ratio =
+      geo::kEarthRadiusKm / (geo::kEarthRadiusKm + prop.max_gate_altitude_km());
+  const double theta_max =
+      std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
+  // A satellite's ECEF direction is the composition of the orbital
+  // rotation and Earth's rotation, so its angular rate is bounded by the
+  // sum of the two; half a slab away from the midpoint sample the
+  // direction has moved at most rate * slab/2.
+  const double motion_slack =
+      (prop.max_angular_rate_rad_per_sec() + kEarthRotationRadPerSec) * impl->slab_sec /
+      2.0;
+  impl->cos_gate = std::cos(
+      std::min(kPi, theta_max + kCellHalfDiagRad + motion_slack + kRoundingSlackRad));
 
   impl_ = std::move(impl);
 }

@@ -4,7 +4,14 @@
 // satellite serves this terminal at this reconfiguration epoch?" and
 // "what does the full access path look like at this instant?". Both
 // reduce to geometry that repeats — terminals cluster in cities, epochs
-// quantize onto a coarse grid — so the index amortizes it:
+// quantize onto a coarse grid — so the index amortizes it.
+//
+// The index exists for SGP4 constellations only, where one serving
+// decision otherwise pays for a whole-constellation batch frame
+// (Sgp4Propagator::frame_at). A Walker decision is already as cheap as a
+// candidate list — walker_cone_sweep's per-plane windows emit only the
+// slots near the terminal — so AccessNetwork builds no index for Walker
+// shells, and the constructor rejects them.
 //
 //  * Interval layer (pure geometry): for each (1-degree ground cell,
 //    time slab) it precomputes the satellites whose visibility interval
@@ -13,7 +20,8 @@
 //    the satellites' angular motion across the slab. The candidate list
 //    is a strict superset of the visible set, kept in canonical sweep
 //    order, so running the exact ephemeris over it reproduces
-//    best_visible bit-for-bit at a fraction of the sweep cost.
+//    best_visible bit-for-bit while propagating one frame per slab
+//    instead of one per epoch.
 //  * Epoch memo: full AccessSamples keyed by (terminal, epoch, era),
 //    where an era is the interval between consecutive boundaries of the
 //    time-dependent inputs (PoP overrides, fault-plan gateway outages
@@ -44,7 +52,8 @@ struct AccessConfig;
 struct AccessSample;
 class AccessNetwork;
 
-/// Process-wide ablation switch (--no-access-cache). Checked per query;
+/// Process-wide ablation switch (--no-access-cache; it affects SGP4
+/// networks only, the only ones with an index). Checked per query;
 /// flipping it mid-run is safe (the caches simply stop being consulted)
 /// but is meant for whole-run A/B comparisons.
 bool access_cache_enabled();
@@ -55,6 +64,7 @@ void set_access_cache_enabled(bool enabled);
 /// queries are const and thread-safe via thread-local caches.
 class AccessIndex {
  public:
+  /// Throws std::invalid_argument unless `constellation` runs SGP4.
   AccessIndex(const AccessConfig& config,
               std::shared_ptr<const Constellation> constellation);
   ~AccessIndex();

@@ -36,16 +36,24 @@ std::vector<std::size_t> build_shell_begin(const std::vector<Shell>& shells) {
   return begin;
 }
 
-/// Per-shell visibility cone gate: on a spherical Earth, elevation >=
-/// E_min is exactly central angle theta <= theta_max with
+/// Visibility cone half-angle: on a spherical Earth, elevation >= E_min
+/// is exactly central angle theta <= theta_max with
 ///   cos(E_min + theta_max) = (R / (R + h)) * cos(E_min).
-/// The 1e-6 rad slack absorbs rotation-recurrence rounding so the cone
-/// never rejects a satellite the exact test would accept.
-double cone_cos_gate(double altitude_km, double e_min_rad) {
+double cone_half_angle(double altitude_km, double e_min_rad) {
   const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + altitude_km);
-  const double theta_max =
-      std::acos(std::clamp(ratio * std::cos(e_min_rad), -1.0, 1.0)) - e_min_rad;
-  return std::cos(theta_max + 1e-6);
+  return std::acos(std::clamp(ratio * std::cos(e_min_rad), -1.0, 1.0)) - e_min_rad;
+}
+
+/// Walker cone gate: the exact cone. walker_cone_sweep adds its own
+/// margin (kWalkerWindowMarginRad) when it turns the gate into windows.
+double walker_cos_gate(double altitude_km, double e_min_rad) {
+  return std::cos(cone_half_angle(altitude_km, e_min_rad));
+}
+
+/// SGP4 frame gate. The 1e-6 rad slack absorbs unit-vector rounding so
+/// the cone never rejects a satellite the exact test would accept.
+double sgp4_cos_gate(double altitude_km, double e_min_rad) {
+  return std::cos(cone_half_angle(altitude_km, e_min_rad) + 1e-6);
 }
 
 void ground_unit(const geo::GeoPoint& ground, double& gx, double& gy, double& gz) {
@@ -102,11 +110,11 @@ geo::GeoPoint Constellation::position(const SatId& id, double t_sec) const {
 std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, double t_sec,
                                                double min_elevation_deg) const {
   // Cone pre-filter (same gate math as best_visible, via the shared
-  // sweep): only candidates inside the per-shell central-angle cone run
-  // the exact ephemeris + elevation test. The gate admits every
-  // satellite the exact test would accept, and the sweep visits slots in
-  // canonical order, so results match the historical full-trig scan
-  // bit for bit — it is purely a pre-filter.
+  // sweep): only the slots inside each plane's window run the exact
+  // ephemeris + elevation test. The windows admit every satellite the
+  // exact test would accept, and the sweep visits slots in canonical
+  // order, so results match the historical full-trig scan bit for bit —
+  // it is purely a pre-filter.
   std::vector<VisibleSat> out;
   double gx, gy, gz;
   ground_unit(ground, gx, gy, gz);
@@ -115,7 +123,7 @@ std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, doub
   if (propagator_->model() == OrbitModel::walker) {
     walker_cone_sweep(
         shells_, gx, gy, gz, t_sec,
-        [&](std::size_t s) { return cone_cos_gate(shells_[s].altitude_km, e_min); },
+        [&](std::size_t s) { return walker_cos_gate(shells_[s].altitude_km, e_min); },
         [&](std::size_t s, std::size_t p, std::size_t i) {
           const SatId id{s, p, i};
           const geo::GeoPoint pos = position(id, t_sec);
@@ -131,7 +139,7 @@ std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, doub
 
   const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
   const BatchFrame& frame = sgp4.frame_at(t_sec);
-  const double gate = cone_cos_gate(sgp4.max_gate_altitude_km(), e_min);
+  const double gate = sgp4_cos_gate(sgp4.max_gate_altitude_km(), e_min);
   for (std::size_t f = 0; f < frame.size(); ++f) {
     if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
     const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
@@ -157,36 +165,39 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
                                                       double min_elevation_deg) const {
   // Hot path for campaign simulation: a full-trig sweep of every satellite
   // costs ~1 ms per query for a Starlink-sized constellation. Instead,
-  // prefilter with a central-angle cone test on ECEF unit vectors (see
-  // cone_cos_gate); unit vectors come from incremental plane rotations in
-  // walker_cone_sweep (no per-satellite trig) or a memoized SGP4 batch
-  // frame. The exact position/elevation path runs only for the few
-  // candidates inside the cone, preserving the sweep's selection order
-  // and values bit-for-bit.
+  // prefilter with the central-angle cone (see cone_half_angle): Walker
+  // shells through walker_cone_sweep's per-plane windows (one rotation
+  // step per plane, no per-satellite work outside the windows), SGP4
+  // through a dot-product gate on a memoized batch frame's unit vectors.
+  // The exact position/elevation path runs only for the few candidates,
+  // preserving the full scan's selection order and values bit-for-bit.
   double gx, gy, gz;
   ground_unit(ground, gx, gy, gz);
   const double e_min = geo::deg_to_rad(min_elevation_deg);
 
   // Cone-prefilter accounting: counted locally in the sweep and flushed
-  // as three relaxed adds at the end, keeping PR 1's ~8x claim
-  // continuously observable without taxing the per-satellite loop.
+  // as three relaxed adds at the end. sats_swept is the slots the
+  // prefilter tested: the window's emitted slots for Walker, the whole
+  // frame for SGP4.
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& queries = obs::MetricsRegistry::global().counter(
       "orbit.best_visible.queries", "best_visible calls");
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& sats_swept = obs::MetricsRegistry::global().counter(
-      "orbit.best_visible.sats_swept", "satellites tested against the cone gate");
+      "orbit.best_visible.sats_swept",
+      "satellites the cone prefilter tested (Walker: slots inside the plane windows)");
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& exact_evals = obs::MetricsRegistry::global().counter(
       "orbit.best_visible.exact_evals",
       "satellites inside the cone that ran the exact ephemeris");
   std::uint64_t evals = 0;
+  std::uint64_t swept = propagator_->size();
 
   std::optional<VisibleSat> best;
   if (propagator_->model() == OrbitModel::walker) {
-    walker_cone_sweep(
+    swept = walker_cone_sweep(
         shells_, gx, gy, gz, t_sec,
-        [&](std::size_t s) { return cone_cos_gate(shells_[s].altitude_km, e_min); },
+        [&](std::size_t s) { return walker_cos_gate(shells_[s].altitude_km, e_min); },
         [&](std::size_t s, std::size_t p, std::size_t i) {
           ++evals;
           const SatId id{s, p, i};
@@ -201,7 +212,7 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
   } else {
     const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
     const BatchFrame& frame = sgp4.frame_at(t_sec);
-    const double gate = cone_cos_gate(sgp4.max_gate_altitude_km(), e_min);
+    const double gate = sgp4_cos_gate(sgp4.max_gate_altitude_km(), e_min);
     for (std::size_t f = 0; f < frame.size(); ++f) {
       if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
       ++evals;
@@ -215,7 +226,7 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
     }
   }
   queries.add(1);
-  sats_swept.add(propagator_->size());
+  sats_swept.add(swept);
   exact_evals.add(evals);
   return best;
 }

@@ -17,6 +17,7 @@
 // timeline can consume frames through the same cone-prefilter path.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -189,50 +190,101 @@ class Sgp4Propagator final : public Propagator {
   std::unique_ptr<BatchPropagator> batch_;
 };
 
-/// Shared cone-prefilter sweep over Walker shells: visits every slot in
-/// canonical (shell, plane, index) order via incremental plane rotations
-/// (no per-satellite trig) and invokes `on_candidate(SatId)` for each
-/// satellite whose ECEF direction clears the per-shell cos gate. The
-/// arithmetic (op order included) is the historical best_visible sweep,
-/// shared by best_visible, visible and the access index so their
-/// prefilters cannot diverge.
+/// Slack of the Walker window gate, in both of its domains: subtracted
+/// from the cos gate and added to the window half-angle. It absorbs the
+/// rounding of the plane-rotation recurrence and of the window
+/// arithmetic (all far below 1e-9 rad, even at t ~ 1e8 s), so the
+/// window never drops a slot the exact elevation test would accept.
+inline constexpr double kWalkerWindowMarginRad = 1e-6;
+
+/// Shared cone-prefilter sweep over Walker shells. Invokes
+/// `on_candidate(s, p, i)` for a superset of the slots whose ECEF
+/// direction lies within the cone cos(theta) >= cos_cone_for_shell(s)
+/// of the ground unit vector g, in canonical (shell, plane, index) order,
+/// and returns how many slots it emitted.
+///
+/// Per-plane window: in plane p the slot direction is
+/// pos(u) = cos u * a + sin u * b with a = (cos phi, sin phi, 0),
+/// b = (-cos i sin phi, cos i cos phi, sin i), phi = RAAN - earth spin,
+/// so g . pos(u) = R cos(u - u*) with R = |(g.a, g.b)| and
+/// u* = atan2(g.b, g.a). A plane with R < gate - margin has no slot in
+/// the cone and is skipped; otherwise the cone is exactly the arc
+/// |u - u*| <= acos(gate / R), and the sweep emits every slot within
+/// acos((gate - margin) / R) + margin of u*: one index range mod
+/// sats_per_plane, emitted in ascending index order (split at the wrap).
+/// The cost is one rotation step per plane plus the emitted slots, not
+/// one per satellite.
+///
+/// Callers run the exact ephemeris + elevation test on every emitted
+/// slot with strict-improvement selection. Because the window is a
+/// superset of what that test accepts and the visit order is canonical,
+/// the result equals an exact scan of every slot bit for bit — the
+/// window is purely a prefilter. best_visible and visible share it so
+/// their prefilters cannot diverge.
 template <typename GateFn, typename CandidateFn>
-void walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy, double gz,
-                       double t_sec, GateFn&& gate_for_shell, CandidateFn&& on_candidate) {
-  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy,
+                              double gz, double t_sec, GateFn&& cos_cone_for_shell,
+                              CandidateFn&& on_candidate) {
+  constexpr double kPi = 3.14159265358979323846;
+  constexpr double kTwoPi = 2.0 * kPi;
+  constexpr double kMargin = kWalkerWindowMarginRad;
+  std::size_t emitted = 0;
   for (std::size_t s = 0; s < shells.size(); ++s) {
     const Shell& shell = shells[s];
-    const double gate = gate_for_shell(s);
+    const double gate = cos_cone_for_shell(s) - kMargin;
     const double inc = geo::deg_to_rad(shell.inclination_deg);
     const double sin_i = std::sin(inc);
     const double cos_i = std::cos(inc);
-    const double du = kTwoPi / static_cast<double>(shell.sats_per_plane);
-    const double cos_du = std::cos(du);
-    const double sin_du = std::sin(du);
+    const std::size_t n = shell.sats_per_plane;
+    const double du = kTwoPi / static_cast<double>(n);
     const double motion = shell.mean_motion_rad_per_sec() * t_sec;
     const double phase_step = kTwoPi * static_cast<double>(shell.phase_factor) /
                               static_cast<double>(shell.total_sats());
+    // phi_p = 2 pi p / planes - spin, advanced by one rotation per plane.
+    const double spin = kEarthRotationRadPerSec * t_sec;
+    const double dphi = kTwoPi / static_cast<double>(shell.planes);
+    const double cos_dphi = std::cos(dphi);
+    const double sin_dphi = std::sin(dphi);
+    double cos_phi = std::cos(spin);
+    double sin_phi = -std::sin(spin);
     for (std::size_t p = 0; p < shell.planes; ++p) {
-      const double phi =
-          kTwoPi * static_cast<double>(p) / static_cast<double>(shell.planes) -
-          kEarthRotationRadPerSec * t_sec;
-      const double cos_phi = std::cos(phi);
-      const double sin_phi = std::sin(phi);
-      const double u0 = phase_step * static_cast<double>(p) + motion;
-      double cu = std::cos(u0);
-      double su = std::sin(u0);
-      for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
-        const double w = cos_i * su;
-        const double x = cu * cos_phi - w * sin_phi;
-        const double y = cu * sin_phi + w * cos_phi;
-        const double z = sin_i * su;
-        if (gx * x + gy * y + gz * z >= gate) on_candidate(s, p, i);
-        const double cu_next = cu * cos_du - su * sin_du;
-        su = su * cos_du + cu * sin_du;
-        cu = cu_next;
+      const double ga = gx * cos_phi + gy * sin_phi;
+      const double gb = cos_i * (gy * cos_phi - gx * sin_phi) + gz * sin_i;
+      const double cos_next = cos_phi * cos_dphi - sin_phi * sin_dphi;
+      sin_phi = sin_phi * cos_dphi + cos_phi * sin_dphi;
+      cos_phi = cos_next;
+
+      const double r = std::sqrt(ga * ga + gb * gb);
+      if (r < gate) continue;
+      const double half =
+          std::acos(r > 0.0 ? std::clamp(gate / r, -1.0, 1.0) : -1.0) + kMargin;
+      // Window centre relative to slot 0's argument of latitude, in [0, 2pi).
+      double centre = std::fmod(
+          std::atan2(gb, ga) - (phase_step * static_cast<double>(p) + motion), kTwoPi);
+      if (centre < 0.0) centre += kTwoPi;
+      const auto k_lo = static_cast<long long>(std::ceil((centre - half) / du));
+      const auto k_hi = static_cast<long long>(std::floor((centre + half) / du));
+      if (k_hi < k_lo) continue;
+      const auto span = static_cast<std::size_t>(k_hi - k_lo + 1);
+      const auto nn = static_cast<long long>(n);
+      const std::size_t first = static_cast<std::size_t>(((k_lo % nn) + nn) % nn);
+      if (span >= n) {
+        for (std::size_t i = 0; i < n; ++i) on_candidate(s, p, i);
+        emitted += n;
+      } else if (first + span <= n) {
+        for (std::size_t i = first; i < first + span; ++i) on_candidate(s, p, i);
+        emitted += span;
+      } else {
+        // The arc wraps past index n-1: emit [0, tail) before [first, n)
+        // so the plane is still visited in ascending index order.
+        const std::size_t tail = first + span - n;
+        for (std::size_t i = 0; i < tail; ++i) on_candidate(s, p, i);
+        for (std::size_t i = first; i < n; ++i) on_candidate(s, p, i);
+        emitted += span;
       }
     }
   }
+  return emitted;
 }
 
 }  // namespace satnet::orbit

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "fault/hook.hpp"
@@ -16,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "orbit/access.hpp"
-#include "orbit/access_index.hpp"
 // satlint:allow(layering): deliberate inversion — timeline construction fans out on the shared pool; DESIGN.md §14 records the debt
 #include "runtime/thread_pool.hpp"
 
@@ -642,10 +642,9 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   }
   if (missing_s.empty() && missing_m.empty() && sample_reuse) return;  // warm
 
-  // Build the missing values, each into its own slot. Serving decisions
-  // route through the network (index caches apply); samples are the
-  // exact on-demand computation at the stored representative instant —
-  // within one (epoch, era) cell any instant yields identical bytes.
+  // Build the missing serving decisions, each into its own slot. They
+  // route through the network (the SGP4 index applies): one exact
+  // serving evaluation per distinct key.
   std::vector<std::uint32_t> built_s(missing_s.size(), kNoSat);
   for_each_slot(missing_s.size(), threads, [&](std::size_t i) {
     const ServingKey& k = missing_s[i];
@@ -653,13 +652,6 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
     if (const auto sat = net.serving_sat_at_epoch(user, from_bits(k.epoch))) {
       built_s[i] = pack_sat(sat->id);
     }
-  });
-  std::vector<AccessSample> built_m(missing_m.size());
-  for_each_slot(missing_m.size(), threads, [&](std::size_t i) {
-    const SampleKey& k = missing_m[i];
-    const geo::GeoPoint user{from_bits(k.lat), from_bits(k.lon), 0.0};
-    const double t = from_bits(k.t);
-    built_m[i] = net.build_sample(user, t, net.serving_sat_at_epoch(user, from_bits(k.epoch)));
   });
 
   // Deterministic merge: existing entries and fresh slots interleave in
@@ -704,6 +696,29 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
       }
     }
   }
+
+  // Build the missing samples: the exact on-demand computation at the
+  // stored representative instant — within one (epoch, era) cell any
+  // instant yields identical bytes. Every sample key's (lat, lon, epoch)
+  // is a serving key, now in the merged serving layer, so the serving
+  // satellite is rebuilt from its packed id (serving_visible_sat is the
+  // replay path's reconstruction) instead of being chosen a second time.
+  std::vector<AccessSample> built_m(missing_m.size());
+  for_each_slot(missing_m.size(), threads, [&](std::size_t i) {
+    const SampleKey& k = missing_m[i];
+    const std::size_t j = soa_lower_bound(arrays.s_lat.size(), [&](std::size_t m) {
+      if (arrays.s_lat[m] != k.lat) return arrays.s_lat[m] < k.lat;
+      if (arrays.s_lon[m] != k.lon) return arrays.s_lon[m] < k.lon;
+      return arrays.s_epoch[m] < k.epoch;
+    });
+    const geo::GeoPoint user{from_bits(k.lat), from_bits(k.lon), 0.0};
+    const double epoch = from_bits(k.epoch);
+    std::optional<VisibleSat> sat;
+    if (arrays.s_sat[j] != kNoSat) {
+      sat = net.serving_visible_sat(user, unpack_sat(arrays.s_sat[j]), epoch);
+    }
+    built_m[i] = net.build_sample(user, from_bits(k.t), sat);
+  });
 
   const std::size_t old_m = sample_reuse ? existing->sample_size() : 0;
   const std::size_t total_m = old_m + missing_m.size();

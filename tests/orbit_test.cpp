@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 #include "fault/hook.hpp"
 #include "fault/plan.hpp"
@@ -422,8 +423,24 @@ struct ScopedCacheDisabled {
   ~ScopedCacheDisabled() { set_access_cache_enabled(true); }
 };
 
+/// The index serves SGP4 constellations only, so its tests run on the
+/// SGP4 build of the same Starlink shells.
+std::shared_ptr<const Constellation> starlink_sgp4() {
+  static const auto c =
+      std::make_shared<const Constellation>(starlink_shells(), OrbitModel::sgp4);
+  return c;
+}
+
+TEST(AccessIndexTest, WalkerNetworksHaveNoIndex) {
+  EXPECT_EQ(make_starlink_access(starlink()).access_index(), nullptr);
+  EXPECT_EQ(make_geo_access("denver", -101.0).access_index(), nullptr);
+  EXPECT_NE(make_starlink_access(starlink_sgp4()).access_index(), nullptr);
+  AccessConfig cfg;
+  EXPECT_THROW(AccessIndex(cfg, starlink()), std::invalid_argument);
+}
+
 TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
-  const auto c = starlink();
+  const auto c = starlink_sgp4();
   const auto net = make_starlink_access(c);
   ASSERT_NE(net.access_index(), nullptr);
   for (const double lat : {47.3, -36.9, 61.2}) {
@@ -442,13 +459,14 @@ TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
 }
 
 TEST(AccessIndexTest, ServingMatchesFullSweepBitForBit) {
-  const auto c = starlink();
+  const auto c = starlink_sgp4();
   const auto net = make_starlink_access(c);
   const double min_elev = net.config().min_elevation_deg;
   for (const double lat : {47.61, 21.3, -33.87}) {
     for (const double lon : {-122.33, -157.85, 151.2}) {
       for (double epoch = 0; epoch < 900.0; epoch += 15.0) {
         const geo::GeoPoint user{lat, lon, 0};
+        ASSERT_NE(net.access_index(), nullptr);
         const auto via_index = net.access_index()->serving(user, epoch);
         const auto via_sweep = c->best_visible(user, epoch, min_elev);
         ASSERT_EQ(via_index.has_value(), via_sweep.has_value());
@@ -464,7 +482,8 @@ TEST(AccessIndexTest, ServingMatchesFullSweepBitForBit) {
 }
 
 TEST(AccessIndexTest, SamplesByteIdenticalCacheOnAndOff) {
-  const auto net = make_starlink_access(starlink());
+  const auto net = make_starlink_access(starlink_sgp4());
+  ASSERT_NE(net.access_index(), nullptr);
   const geo::GeoPoint user{47.61, -122.33, 0};
   for (double t = 0; t < 1800.0; t += 7.5) {
     const AccessSample cached = net.sample_with_handoff(user, t);
@@ -478,7 +497,8 @@ TEST(AccessIndexTest, SamplesByteIdenticalCacheOnAndOff) {
 }
 
 TEST(AccessIndexTest, FaultWindowsPartitionErasWithoutFlushingIndex) {
-  const auto net = make_starlink_access(starlink());
+  const auto net = make_starlink_access(starlink_sgp4());
+  ASSERT_NE(net.access_index(), nullptr);
   const geo::GeoPoint user{47.61, -122.33, 0};  // Seattle: homed to the
                                                 // gateway the plan kills
   fault::FaultEvent outage;

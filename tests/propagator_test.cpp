@@ -1,20 +1,26 @@
 // Cross-validation suite for the propagator layer: SGP4 vs published
 // reference ephemeris vectors, BatchPropagator vs scalar bit-identity,
-// TLE round-trips, and the orbit-layer bugfix regressions (visible()
-// cone prefilter, zero-size shell validation, GEO sentinel ids).
+// TLE round-trips, the Walker window gate against an exact scan of every
+// slot, and the orbit-layer bugfix regressions (visible() cone
+// prefilter, zero-size shell validation, GEO sentinel ids).
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "geo/geodesy.hpp"
+#include "obs/metrics.hpp"
 #include "orbit/access.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/propagator.hpp"
 #include "orbit/sgp4.hpp"
 #include "orbit/timeline.hpp"
+#include "stats/rng.hpp"
 
 namespace satnet::orbit {
 namespace {
@@ -383,6 +389,172 @@ TEST(VisibleRegressionTest, ConePrefilterIsBitIdenticalToNaiveSweep) {
       }
     }
   }
+}
+
+// ------------------------------------------------ walker window gate
+
+/// Shells covering the window's corner cases: near-equatorial (0.1 deg),
+/// mid (53 deg) and retrograde polar (97.6 deg) inclinations, a single
+/// plane with two slots, single-slot planes, and a lone satellite.
+std::vector<Shell> window_shells() {
+  return {
+      Shell{"equatorial", 550.0, 0.1, 8, 10, 3},
+      Shell{"mid", 550.0, 53.0, 24, 12, 5},
+      Shell{"polar", 560.0, 97.6, 6, 30, 1},
+      Shell{"one-plane", 1200.0, 53.0, 1, 2, 0},
+      Shell{"single-slots", 700.0, 97.6, 3, 1, 1},
+      Shell{"lone", 1100.0, 0.1, 1, 1, 0},
+  };
+}
+
+/// The definition both prefilters must reproduce: every slot through
+/// walker_position + elevation_deg, in canonical order.
+std::vector<VisibleSat> exact_scan(const Constellation& c, const geo::GeoPoint& ground,
+                                   double t, double mask) {
+  std::vector<VisibleSat> out;
+  for (std::size_t s = 0; s < c.shells().size(); ++s) {
+    const Shell& shell = c.shells()[s];
+    for (std::size_t p = 0; p < shell.planes; ++p) {
+      for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
+        const geo::GeoPoint pos = walker_position(shell, p, i, t);
+        const double elev = geo::elevation_deg(ground, pos);
+        if (elev >= mask) {
+          out.push_back({SatId{s, p, i}, pos, elev,
+                         geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool same_visible(const VisibleSat& a, const VisibleSat& b) {
+  return a.id == b.id && dbits(a.elevation_deg) == dbits(b.elevation_deg) &&
+         dbits(a.slant_km) == dbits(b.slant_km) &&
+         dbits(a.position.lat_deg) == dbits(b.position.lat_deg) &&
+         dbits(a.position.lon_deg) == dbits(b.position.lon_deg) &&
+         dbits(a.position.alt_km) == dbits(b.position.alt_km);
+}
+
+/// Compares visible() and best_visible() with the exact scan, bit for
+/// bit; returns false (after one gtest failure) on the first mismatch.
+bool matches_exact_scan(const Constellation& c, const geo::GeoPoint& ground, double t,
+                        double mask) {
+  const auto want = exact_scan(c, ground, t, mask);
+  const auto got = c.visible(ground, t, mask);
+  const auto where = [&] {
+    return "lat=" + std::to_string(ground.lat_deg) + " lon=" +
+           std::to_string(ground.lon_deg) + " t=" + std::to_string(t) +
+           " mask=" + std::to_string(mask);
+  };
+  bool same = got.size() == want.size();
+  for (std::size_t k = 0; same && k < got.size(); ++k) same = same_visible(got[k], want[k]);
+  if (!same) {
+    ADD_FAILURE() << "visible() differs from the exact scan at " << where() << " ("
+                  << got.size() << " vs " << want.size() << " satellites)";
+    return false;
+  }
+  std::optional<VisibleSat> best;
+  for (const auto& v : want) {
+    if (!best || v.elevation_deg > best->elevation_deg) best = v;
+  }
+  const auto fast = c.best_visible(ground, t, mask);
+  if (fast.has_value() != best.has_value() || (fast && !same_visible(*fast, *best))) {
+    ADD_FAILURE() << "best_visible() differs from the exact scan at " << where();
+    return false;
+  }
+  return true;
+}
+
+TEST(WalkerWindowTest, SpecialPointsMatchExactScan) {
+  const Constellation c(window_shells());
+  const double lats[] = {90.0, -90.0, 89.999, 0.0, -0.0, 1e-9, 53.0, -53.0, 82.4};
+  const double lons[] = {180.0, -180.0, 179.9999, -179.9999, 0.0, 90.0, -45.5};
+  const double times[] = {0.0, 7.5, 5400.0, 86400.0, 1e6, 3.2e7 - 15.0, 3.2e7};
+  for (const double mask : {0.0, 25.0}) {
+    for (const double lat : lats) {
+      for (const double lon : lons) {
+        for (const double t : times) {
+          ASSERT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, t, mask));
+        }
+      }
+    }
+  }
+}
+
+TEST(WalkerWindowTest, RandomPointsMatchExactScan) {
+  const Constellation c(window_shells());
+  stats::Rng rng(0x77696e646f77ull);
+  for (int k = 0; k < 10000; ++k) {
+    // Uniform on the sphere, uniform in time up to ~1 year.
+    const double lat = geo::rad_to_deg(std::asin(rng.uniform(-1.0, 1.0)));
+    const double lon = rng.uniform(-180.0, 180.0);
+    const double t = rng.uniform(0.0, 3.2e7);
+    const double mask = (k % 2 == 0) ? 0.0 : 25.0;
+    ASSERT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, t, mask)) << "k=" << k;
+  }
+}
+
+TEST(WalkerWindowTest, ConeBoundaryPointsMatchExactScan) {
+  // Ground points placed on the edge of a satellite's visibility cone,
+  // bisected to the last representable step on the visible side: the
+  // exact test accepts that satellite at elevation == mask to within
+  // rounding, so a window that drops its margin misses some of them.
+  const Constellation c(window_shells());
+  stats::Rng rng(0x65646765ull);
+  for (int k = 0; k < 1500; ++k) {
+    const std::size_t s = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(c.shells().size()) - 1));
+    const Shell& shell = c.shells()[s];
+    const std::size_t p = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(shell.planes) - 1));
+    const std::size_t i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(shell.sats_per_plane) - 1));
+    const double t = rng.uniform(0.0, 3.2e7);
+    const double mask = (k % 2 == 0) ? 0.0 : 25.0;
+    const double bearing = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
+    const geo::GeoPoint sat = walker_position(shell, p, i, t);
+    const double lat1 = geo::deg_to_rad(sat.lat_deg);
+    const double lon1 = geo::deg_to_rad(sat.lon_deg);
+    const auto ground_at = [&](double delta) {
+      const double lat2 = std::asin(std::sin(lat1) * std::cos(delta) +
+                                    std::cos(lat1) * std::sin(delta) * std::cos(bearing));
+      double lon2 = geo::rad_to_deg(
+          lon1 + std::atan2(std::sin(bearing) * std::sin(delta) * std::cos(lat1),
+                            std::cos(delta) - std::sin(lat1) * std::sin(lat2)));
+      if (lon2 > 180.0) lon2 -= 360.0;
+      if (lon2 < -180.0) lon2 += 360.0;
+      return geo::GeoPoint{geo::rad_to_deg(lat2), lon2, 0.0};
+    };
+    double lo = 0.0, hi = 1.5;  // central angles: visible at lo, not at hi
+    for (;;) {
+      const double mid = lo + (hi - lo) / 2.0;
+      if (mid <= lo || mid >= hi) break;
+      (geo::elevation_deg(ground_at(mid), sat) >= mask ? lo : hi) = mid;
+    }
+    const geo::GeoPoint ground = ground_at(lo);
+    ASSERT_GE(geo::elevation_deg(ground, sat), mask);
+    ASSERT_TRUE(matches_exact_scan(c, ground, t, mask)) << "k=" << k;
+  }
+}
+
+TEST(WalkerWindowTest, StarlinkMatchesExactScanAndSweepsOnlyTheWindow) {
+  const Constellation c(starlink_shells());
+  auto& reg = obs::MetricsRegistry::global();
+  stats::Rng rng(0x73746172ull);
+  const std::uint64_t queries0 = reg.counter("orbit.best_visible.queries").value();
+  const std::uint64_t swept0 = reg.counter("orbit.best_visible.sats_swept").value();
+  for (int k = 0; k < 300; ++k) {
+    const double lat = rng.uniform(-60.0, 60.0);
+    const double lon = rng.uniform(-180.0, 180.0);
+    ASSERT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, rng.uniform(0.0, 3.2e7), 25.0));
+  }
+  // best_visible counts the slots the windows emitted, not the fleet.
+  const std::uint64_t queries = reg.counter("orbit.best_visible.queries").value() - queries0;
+  const std::uint64_t swept = reg.counter("orbit.best_visible.sats_swept").value() - swept0;
+  ASSERT_EQ(queries, 300u);
+  EXPECT_GT(swept, 0u);
+  EXPECT_LT(swept, queries * c.total_sats() / 20);
 }
 
 TEST(ShellValidationTest, ZeroPlanesThrowsDiagnostic) {

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "fault/hook.hpp"
@@ -22,11 +25,13 @@
 namespace satnet {
 namespace {
 
-orbit::AccessNetwork make_net() {
+std::shared_ptr<const orbit::Constellation> starlink() {
   static const auto constellation =
       std::make_shared<const orbit::Constellation>(orbit::starlink_shells());
-  return orbit::make_starlink_access(constellation);
+  return constellation;
 }
+
+orbit::AccessNetwork make_net() { return orbit::make_starlink_access(starlink()); }
 
 const geo::GeoPoint kUsers[] = {
     {47.61, -122.33, 0}, {40.71, -74.01, 0}, {-33.87, 151.21, 0}, {61.22, -149.90, 0}};
@@ -126,6 +131,60 @@ TEST_F(TimelineTest, HandoffPrevEpochCovered) {
     ++i;
   }
   EXPECT_EQ(counter("timeline.replay.fallback"), fallback0);
+}
+
+TEST_F(TimelineTest, ColdBuildChoosesEachServingKeyOnce) {
+  // A cold ensure() runs one best_visible per distinct serving key; the
+  // sample layer rebuilds its serving satellites from the serving layer
+  // instead of choosing them again. Mid-epoch queries give sample keys
+  // whose epochs other queries share.
+  const orbit::AccessNetwork net = make_net();
+  std::vector<orbit::TimelineQuery> queries = grid_queries(40);
+  for (const auto& u : kUsers) {
+    for (int e = 1; e <= 40; ++e) queries.push_back({u, 15.0 * e + 7.5});
+  }
+  const std::uint64_t best0 = counter("orbit.best_visible.queries");
+  orbit::EpochTimeline::ensure(net, queries, 2);
+  const orbit::EpochTimeline* tl = orbit::EpochTimeline::find(net.identity_hash());
+  ASSERT_NE(tl, nullptr);
+  EXPECT_EQ(counter("orbit.best_visible.queries") - best0, tl->serving_size());
+  ASSERT_GT(tl->sample_size(), 0u);
+
+  // Every entry of both layers equals the on-demand value.
+  orbit::set_timeline_enabled(false);
+  const auto from_bits = [](std::uint64_t b) { return std::bit_cast<double>(b); };
+  const orbit::EpochTimeline::View& v = tl->view();
+  const double mask = net.config().min_elevation_deg;
+  for (std::size_t i = 0; i < tl->serving_size(); ++i) {
+    const geo::GeoPoint user{from_bits(v.s_lat[i]), from_bits(v.s_lon[i]), 0.0};
+    const auto sat = starlink()->best_visible(user, from_bits(v.s_epoch[i]), mask);
+    EXPECT_EQ(v.s_sat[i], sat ? orbit::EpochTimeline::pack_sat(sat->id)
+                              : orbit::EpochTimeline::kNoSat)
+        << "serving entry " << i;
+  }
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint32_t>,
+           orbit::TimelineQuery>
+      by_key;
+  const auto& b = tl->boundaries();
+  for (const auto& q : queries) {
+    const double epoch = std::floor(q.t_sec / 15.0) * 15.0;
+    const auto era = static_cast<std::uint32_t>(
+        std::upper_bound(b.begin(), b.end(), q.t_sec) - b.begin());
+    by_key.emplace(std::make_tuple(std::bit_cast<std::uint64_t>(q.terminal.lat_deg),
+                                   std::bit_cast<std::uint64_t>(q.terminal.lon_deg),
+                                   std::bit_cast<std::uint64_t>(epoch), era),
+                   q);
+  }
+  ASSERT_EQ(by_key.size(), tl->sample_size());
+  for (std::size_t i = 0; i < tl->sample_size(); ++i) {
+    const auto it = by_key.find({v.m_lat[i], v.m_lon[i], v.m_epoch[i], v.m_era[i]});
+    ASSERT_NE(it, by_key.end()) << "sample entry " << i;
+    const orbit::TimelineQuery& q = it->second;
+    const orbit::AccessSample on_demand = net.sample(q.terminal, q.t_sec);
+    orbit::AccessSample stored;
+    ASSERT_TRUE(tl->replay_sample(q.terminal, q.t_sec, from_bits(v.m_epoch[i]), &stored));
+    EXPECT_TRUE(sample_equal(on_demand, stored)) << "sample entry " << i;
+  }
 }
 
 TEST_F(TimelineTest, ThreadCountDoesNotChangeSnapshot) {
