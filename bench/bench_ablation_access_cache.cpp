@@ -20,9 +20,12 @@
 #include "bench/bench_common.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 
+#include "obs/metrics.hpp"
 #include "orbit/access.hpp"
+#include "orbit/access_index.hpp"
 
 namespace {
 

@@ -11,6 +11,7 @@
 // regression no matter how fast it ran.
 #include "bench/bench_common.hpp"
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 

@@ -24,9 +24,14 @@
 #include "bench/bench_common.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 
+#include "io/timeline_io.hpp"
+#include "obs/metrics.hpp"
 #include "orbit/access.hpp"
+#include "orbit/access_index.hpp"
+#include "orbit/timeline.hpp"
 
 namespace {
 

@@ -157,18 +157,19 @@ double approx_quantile(const MetricValue& m, double q) {
   return m.bounds.empty() ? 0.0 : m.bounds.back();
 }
 
-bool open_out(const std::string& path, std::ofstream* file, std::ostream** out) {
+/// Writes `text` to `path` ("-" = stdout). False when the file cannot
+/// be opened or the stream is bad after the write (a full disk,
+/// /dev/full); the caller reports it.
+bool write_out(const std::string& path, const std::string& text) {
   if (path == "-") {
-    *out = &std::cout;
-    return true;
+    std::cout << text;
+    std::cout.flush();
+    return static_cast<bool>(std::cout);
   }
-  file->open(path);
-  if (!*file) {
-    std::fprintf(stderr, "obs: cannot open %s\n", path.c_str());
-    return false;
-  }
-  *out = file;
-  return true;
+  std::ofstream file(path);
+  file << text;
+  file.close();
+  return static_cast<bool>(file);
 }
 
 }  // namespace
@@ -639,33 +640,20 @@ std::vector<std::string> nonfinite_metrics(const Snapshot& snapshot) {
 
 bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
                         const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_prometheus(snapshot, manifest);
-  return true;
-}
-
-bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
-                      const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_jsonl(snapshot, manifest) << spans_jsonl(spans);
-  return true;
+  return write_out(path, to_prometheus(snapshot, manifest));
 }
 
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
                       const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_jsonl(snapshot, manifest) << spans_jsonl(spans)
-       << events_jsonl(events);
-  return true;
+  return write_out(path, to_jsonl(snapshot, manifest) + spans_jsonl(spans) +
+                             events_jsonl(events));
+}
+
+bool write_events_file(const std::string& path, const std::vector<ResolvedEvent>& events,
+                       const RunManifest& manifest) {
+  return write_out(path, manifest_json(manifest) + "\n" + events_jsonl(events));
 }
 
 }  // namespace satnet::obs

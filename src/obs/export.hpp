@@ -99,20 +99,23 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest);
 /// gates on exactly this.
 std::vector<std::string> nonfinite_metrics(const Snapshot& snapshot);
 
-/// Writes Prometheus text to `path` ("-" = stdout). Returns false and
-/// prints to stderr when the file cannot be opened.
+// The file writers below take `path` = "-" for stdout. Each returns
+// false when the file cannot be opened or the stream is bad after the
+// write (a full disk, /dev/full); they print nothing, so the caller
+// reports the failure once.
+
+/// Writes Prometheus text (manifest as comments).
 bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
                         const RunManifest& manifest);
 
-/// Writes JSONL (manifest + metrics + spans) to `path` ("-" = stdout).
-bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
-                      const RunManifest& manifest);
-
-/// Writes JSONL (manifest + metrics + spans + flight-recorder events).
+/// Writes JSONL: manifest, metrics, spans, then flight-recorder events.
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
                       const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest);
+
+/// Writes a flight-recorder drain: the manifest line, then the events.
+bool write_events_file(const std::string& path, const std::vector<ResolvedEvent>& events,
+                       const RunManifest& manifest);
 
 }  // namespace satnet::obs

@@ -22,6 +22,18 @@ BenchRun make_run(const std::string& bench, const std::string& run_id,
   return run;
 }
 
+TEST(BenchreportTest, ToleranceMustBeAFiniteNonNegativeNumber) {
+  double tol = 0.15;
+  EXPECT_TRUE(parse_tolerance("0.5", &tol));
+  EXPECT_DOUBLE_EQ(tol, 0.5);
+  EXPECT_TRUE(parse_tolerance("0", &tol));
+  EXPECT_DOUBLE_EQ(tol, 0.0);
+  for (const char* bad : {"abc", "", "-0.1", "inf", "nan", "0.5x", " 0.5"}) {
+    EXPECT_FALSE(parse_tolerance(bad, &tol)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(tol, 0.0);
+}
+
 TEST(BenchreportTest, DirectionInferredFromKey) {
   EXPECT_EQ(metric_direction("mlab_campaign.cold_ms"), Direction::lower_better);
   EXPECT_EQ(metric_direction("replay.p99_us"), Direction::lower_better);

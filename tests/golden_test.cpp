@@ -10,23 +10,15 @@
 // then review the diff of tests/golden/ like any other code change.
 // SATNET_UPDATE_GOLDEN=1 in the environment does the same.
 //
-// Ablation: --no-access-cache runs the whole suite with the
-// access-interval index disabled (every orbital sample falls back to the
-// full cone-prefilter sweep). The snapshots must still match byte-for-
-// byte — that run is the equivalence oracle for the cache
-// (scripts/verify.sh --golden exercises it).
-//
-// The epoch timeline gets the same treatment: --no-timeline disables
-// replay entirely, --timeline-in FILE warm-starts the suite from a
-// persisted snapshot, --timeline-out FILE saves the snapshots built by
-// this run. All three must leave every snapshot byte-identical — the
-// verify.sh golden gate runs cold, warm-from-file, and no-timeline
-// rounds against the same tests/golden/ corpus.
-//
-// --recorder-out FILE runs the whole suite with the flight recorder
-// enabled and drains the event stream to FILE afterwards; the snapshots
-// must still match byte-for-byte (the recorder's observation-only
-// oracle — scripts/verify.sh --golden exercises it).
+// The shared run flags (io/session.hpp) apply to the whole suite, and
+// every snapshot must still match byte-for-byte under them, so
+// scripts/verify.sh --golden uses each round as an equivalence oracle:
+// --no-access-cache (index disabled, every sample takes the cone
+// sweep), --no-timeline (no replay), --timeline-in FILE (warm start
+// from a saved snapshot; --timeline-out FILE saves the one this run
+// built) and --recorder-out FILE (flight recorder on, drained to FILE
+// at exit). --threads N asserts one more thread count on top of the
+// fixed 1/2/8.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -40,9 +32,8 @@
 #include "fault/plan.hpp"
 #include "io/csv.hpp"
 #include "io/golden.hpp"
-#include "io/timeline_io.hpp"
+#include "io/session.hpp"
 #include "mlab/campaign.hpp"
-#include "obs/export.hpp"
 #include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
@@ -231,66 +222,15 @@ TEST(Golden, AccessCacheAblationUnderFaultPlan) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  satnet::io::RunSession session(argc, argv);
   ::testing::InitGoogleTest(&argc, argv);
-  std::string timeline_out;
-  std::string recorder_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--update-golden") update_mode() = true;
-    if (arg == "--recorder-out" && i + 1 < argc) {
-      // The snapshot comparisons above run with the recorder live — the
-      // golden gate doubles as the recorder's observation-only oracle.
-      recorder_out = argv[i + 1];
-      satnet::obs::FlightRecorder::global().set_enabled(true);
-      if (recorder_out != "-") {
-        satnet::obs::FlightRecorder::global().set_postmortem_path(
-            recorder_out + ".postmortem");
-      }
-    }
-    if (arg == "--no-access-cache") satnet::orbit::set_access_cache_enabled(false);
-    if (arg == "--no-timeline") satnet::orbit::set_timeline_enabled(false);
-    if (arg == "--timeline-in" && i + 1 < argc) {
-      satnet::io::TimelineFileInfo info;
-      const std::string diag = satnet::io::load_timelines(argv[i + 1], &info);
-      if (diag.empty()) {
-        std::printf("golden_test: timeline %s: %zu networks, %zu bytes\n",
-                    argv[i + 1], info.networks, info.bytes);
-      } else {
-        // Non-fatal by design: the suite must produce identical snapshots
-        // from an in-memory build, so a bad file only costs the warm start.
-        std::fprintf(stderr, "golden_test: %s\n", diag.c_str());
-      }
-    }
-    if (arg == "--timeline-out" && i + 1 < argc) timeline_out = argv[i + 1];
-    if (arg == "--threads" && i + 1 < argc) {
-      extra_threads() = static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
+  session.start(
+      argc, argv, 1,
+      {{"--update-golden", "", {}, "", "rewrite the snapshots instead of comparing"}});
+  update_mode() = session.args().has("--update-golden");
+  extra_threads() = session.threads();
   if (const char* env = std::getenv("SATNET_UPDATE_GOLDEN")) {
     if (env[0] != '\0' && env[0] != '0') update_mode() = true;
   }
-  const int rc = RUN_ALL_TESTS();
-  if (rc == 0 && !recorder_out.empty()) {
-    const auto events = satnet::obs::FlightRecorder::global().drain();
-    std::FILE* f = recorder_out == "-" ? stdout
-                                       : std::fopen(recorder_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "golden_test: cannot open %s\n", recorder_out.c_str());
-    } else {
-      std::fputs(satnet::obs::events_jsonl(events).c_str(), f);
-      if (f != stdout) std::fclose(f);
-      std::printf("golden_test: drained %zu flight-recorder events to %s\n",
-                  events.size(), recorder_out.c_str());
-    }
-  }
-  if (rc == 0 && !timeline_out.empty()) {
-    const std::string diag =
-        satnet::io::save_timelines(timeline_out, "golden_test suite run");
-    if (diag.empty()) {
-      std::printf("golden_test: saved timeline to %s\n", timeline_out.c_str());
-    } else {
-      std::fprintf(stderr, "golden_test: %s\n", diag.c_str());
-    }
-  }
-  return rc;
+  return session.finish(RUN_ALL_TESTS());
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -315,6 +316,17 @@ CheckResult check(const std::vector<BenchRun>& baseline,
     }
   }
   return result;
+}
+
+bool parse_tolerance(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v) || v < 0) return false;
+  *out = v;
+  return true;
 }
 
 std::string render_table(const CheckResult& result, double tolerance) {

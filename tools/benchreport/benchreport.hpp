@@ -82,6 +82,10 @@ CheckResult check(const std::vector<BenchRun>& baseline,
                   const std::vector<BenchRun>& current, double tolerance,
                   bool ratios_only);
 
+/// Parses a --tolerance value: a finite fraction >= 0, the whole string.
+/// Returns false (leaving *out alone) for anything else.
+bool parse_tolerance(const std::string& text, double* out);
+
 /// Human-readable delta table (regressions flagged with "REGRESSED").
 std::string render_table(const CheckResult& result, double tolerance);
 

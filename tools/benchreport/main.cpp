@@ -12,7 +12,6 @@
 // past the tolerance. Missing benches are reported but never fail the
 // gate, so partial runs stay usable.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -86,7 +85,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--run-id" && i + 1 < argc) {
       run_id = argv[++i];
     } else if (arg == "--tolerance" && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
+      if (!parse_tolerance(argv[++i], &tolerance)) {
+        std::fprintf(stderr,
+                     "benchreport: --tolerance expects a finite number >= 0, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "benchreport: unknown flag %s\n", arg.c_str());
       return usage();

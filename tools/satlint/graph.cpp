@@ -90,9 +90,13 @@ const std::map<std::string, std::vector<std::string>> kAllowedDeps = {
     // results into artifacts, so it sees the campaign layers — and
     // nothing may include io back (enforced by io's absence from every
     // other allow list).
+    // io also holds the run session (io/session.*), which installs
+    // fault plans and sets the pool watchdog: fault and runtime are
+    // lower layers, so no cycle.
     {"src:io",
-     {"src:stats", "src:obs", "src:orbit", "src:transport", "src:weather",
-      "src:synth", "src:mlab", "src:ripe", "src:prolific", "src:snoid"}},
+     {"src:stats", "src:obs", "src:fault", "src:orbit", "src:transport",
+      "src:weather", "src:runtime", "src:synth", "src:mlab", "src:ripe",
+      "src:prolific", "src:snoid"}},
 };
 
 bool edge_allowed(const std::string& from, const std::string& to) {
