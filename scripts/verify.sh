@@ -117,10 +117,18 @@ if [[ "$run_golden" == 1 ]]; then
   ./build/tests/golden_test --no-timeline
   # Recorder round: the snapshot suite must be byte-identical with the
   # flight recorder enabled (observation-only oracle); the drained event
-  # JSONL lands in build/ for inspection / CI artifact upload.
-  echo "-- recorder round: golden_test --recorder-out --"
-  ./build/tests/golden_test --recorder-out build/golden-recorder.jsonl
+  # JSONL lands in build/ for inspection / CI artifact upload. The ring
+  # holds the largest shard stream (~1.9k records), so the artifact is
+  # the whole stream: any ring overflow fails the round.
+  echo "-- recorder round: golden_test --recorder-out --recorder-ring 4096 --"
+  ./build/tests/golden_test --recorder-out build/golden-recorder.jsonl \
+    --recorder-ring 4096 | tee build/golden-recorder.log
   test -s build/golden-recorder.jsonl
+  if ! grep -Eq 'flight recorder: [0-9]+ events flushed, 0 dropped' build/golden-recorder.log; then
+    echo "golden: recorder round dropped events to ring overflow:" >&2
+    grep 'flight recorder:' build/golden-recorder.log >&2 || true
+    exit 1
+  fi
   # Cache speedup + byte-identity report (exits 1 on divergence); the
   # JSON lands in the repo root for CI artifact upload / trend tracking.
   echo "-- ablation bench: bench_ablation_access_cache --"

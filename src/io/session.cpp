@@ -12,7 +12,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "runtime/thread_pool.hpp"
@@ -206,7 +205,7 @@ std::string flag_help(const std::vector<Flag>& flags) {
 }
 
 RunSession::RunSession(int argc, char** argv, std::string tool)
-    : tool_(std::move(tool)), start_ms_(obs::Tracer::global().now_ms()) {
+    : tool_(std::move(tool)), start_us_(obs::FlightRecorder::global().wall_now_us()) {
   if (tool_.empty()) {
     const std::string argv0 = argv[0];
     tool_ = argv0.substr(argv0.find_last_of('/') + 1);
@@ -224,7 +223,7 @@ const std::vector<Flag>& RunSession::shared_flags() {
       {"--metrics-out", "PATH", path(), "",
        "Prometheus text export at exit ('-' = stdout)"},
       {"--trace-out", "PATH", path(), "",
-       "JSON lines at exit: manifest, metrics, spans, recorder events ('-' = stdout)"},
+       "JSON lines at exit: manifest, metrics, flight-recorder events ('-' = stdout)"},
       {"--recorder-out", "PATH", path(), "",
        "drain the flight recorder to JSONL ('-' = stdout); postmortems at "
        "PATH.postmortem"},
@@ -275,10 +274,15 @@ void RunSession::start(int argc, char** argv, int first, const std::vector<Flag>
       std::fprintf(stderr, "%s: %s\n", tool_.c_str(), diag.c_str());
     }
   }
+  // Either event export turns the recorder on; a postmortem lands
+  // beside the --recorder-out file, else beside the --trace-out one.
   obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  if (args_.has("--recorder-out")) {
+  const char* events_flag = args_.has("--recorder-out") ? "--recorder-out"
+                            : args_.has("--trace-out")  ? "--trace-out"
+                                                        : nullptr;
+  if (events_flag != nullptr) {
     rec.set_enabled(true);
-    const std::string& out = args_.str("--recorder-out");
+    const std::string& out = args_.str(events_flag);
     if (out != "-") rec.set_postmortem_path(out + ".postmortem");
   }
   if (args_.has("--recorder-ring")) {
@@ -300,7 +304,6 @@ void RunSession::start(int argc, char** argv, int first, const std::vector<Flag>
       std::exit(2);
     }
   }
-  if (args_.has("--trace-out")) obs::Tracer::global().set_enabled(true);
 }
 
 unsigned RunSession::threads() const {
@@ -337,7 +340,8 @@ int RunSession::finish(int rc) {
     manifest.notes.emplace_back("fault_plan", args_.str("--fault-plan"));
     manifest.notes.emplace_back("fault_events", fault_summary_);
   }
-  manifest.wall_ms = obs::Tracer::global().now_ms() - start_ms_;
+  const std::uint64_t end_us = obs::FlightRecorder::global().wall_now_us();
+  manifest.wall_ms = static_cast<double>(end_us - start_us_) / 1000.0;
   const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
   // Drain the recorder once; the events ride --trace-out and
   // --recorder-out alike.
@@ -348,9 +352,7 @@ int RunSession::finish(int rc) {
     check(obs::write_metrics_file(metrics_out, snap, manifest), metrics_out);
   }
   if (!trace_out.empty()) {
-    check(obs::write_trace_file(trace_out, snap, obs::Tracer::global().drain(), events,
-                                manifest),
-          trace_out);
+    check(obs::write_trace_file(trace_out, snap, events, manifest), trace_out);
   }
   if (!recorder_out.empty()) {
     check(obs::write_events_file(recorder_out, events, manifest), recorder_out);

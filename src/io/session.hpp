@@ -104,7 +104,7 @@ class RunSession {
 
   /// Parses argv[first, argc) strictly against shared_flags() plus
   /// `own`, then applies the shared ones: access-index and timeline
-  /// toggles, --timeline-in, recorder, watchdog, fault plan, tracer. A
+  /// toggles, --timeline-in, recorder, watchdog, fault plan. A
   /// bad argument or an unloadable fault plan prints one diagnostic and
   /// exits 2; a rejected --timeline-in file prints one and the run
   /// builds in memory.
@@ -124,7 +124,7 @@ class RunSession {
  private:
   std::string tool_;
   std::string command_;
-  double start_ms_;  ///< manifest wall clock, on the tracer's steady epoch
+  std::uint64_t start_us_;  ///< manifest wall clock, on the recorder's epoch
   Args args_;
   std::string fault_summary_;
 };

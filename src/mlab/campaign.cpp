@@ -5,7 +5,6 @@
 #include <map>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "orbit/access.hpp"
 #include "orbit/timeline.hpp"
 #include "runtime/sharded.hpp"
@@ -144,10 +143,6 @@ NdtDataset run_campaign(const synth::World& world, const CampaignConfig& config,
       [&](std::size_t shard_index) {
         const CampaignShard& shard = shards[shard_index];
         const synth::SnoSpec& spec = world.specs()[shard.spec_index];
-        // Per-operator shard timing: spans are keyed by shard index (the
-        // canonical order) and named after the operator they simulate.
-        obs::ScopedSpan span("mlab.operator", spec.name,
-                             static_cast<std::uint64_t>(shard_index));
         const auto& subs = by_spec.find(shard.spec_index)->second;
         const stats::Rng spec_rng = master.fork_stable(spec.name);
 

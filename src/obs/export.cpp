@@ -277,19 +277,6 @@ std::string to_jsonl(const Snapshot& snapshot, const RunManifest& manifest) {
   return out;
 }
 
-std::string spans_jsonl(const std::vector<SpanRecord>& spans) {
-  std::string out;
-  for (const auto& s : spans) {
-    out += "{\"type\":\"span\",\"phase\":\"" + json_escape(s.phase) +
-           "\",\"name\":\"" + json_escape(s.name) +
-           "\",\"shard\":" + std::to_string(s.shard_key) +
-           ",\"seq\":" + std::to_string(s.seq) +
-           ",\"start_ms\":" + fmt_double(s.start_ms) +
-           ",\"duration_ms\":" + fmt_double(s.duration_ms) + "}\n";
-  }
-  return out;
-}
-
 std::string event_jsonl_line(const ResolvedEvent& event) {
   const auto& r = event.rec;
   std::string line = "{\"type\":\"event\",\"phase\":\"" +
@@ -462,28 +449,6 @@ Snapshot parse_jsonl(const std::string& text) {
   return snap;
 }
 
-std::vector<SpanRecord> parse_spans_jsonl(const std::string& text) {
-  std::vector<SpanRecord> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string type;
-    if (!json_string(line, "type", &type) || type != "span") continue;
-    SpanRecord s;
-    json_string(line, "phase", &s.phase);
-    json_string(line, "name", &s.name);
-    double shard = 0, seq = 0;
-    json_number(line, "shard", &shard);
-    json_number(line, "seq", &seq);
-    s.shard_key = static_cast<std::uint64_t>(shard);
-    s.seq = static_cast<std::uint64_t>(seq);
-    json_number(line, "start_ms", &s.start_ms);
-    json_number(line, "duration_ms", &s.duration_ms);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) {
   char line[256];
   std::string out;
@@ -562,13 +527,14 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     }
     out += line;
   }
-  // Derived: per-phase profiler table (PR 7). profile.<phase>.<field>
-  // counters aggregate shard wall/queue-wait/task counts; the table
-  // groups them back by phase. snapshot.metrics is name-sorted, so the
-  // four fields of one phase are adjacent and phases emerge in order.
+  // Derived: per-phase profile table. ShardedCampaign's
+  // profile.<phase>.<field> counters aggregate shard wall/queue-wait/task
+  // counts; the table groups them back by phase. snapshot.metrics is
+  // name-sorted, so the three fields of one phase are adjacent and
+  // phases emerge in order.
   struct PhaseRow {
     std::string phase;
-    double wall_us = 0, queue_wait_us = 0, tasks = 0, stalled = 0;
+    double wall_us = 0, queue_wait_us = 0, tasks = 0;
   };
   std::vector<PhaseRow> rows;
   for (const auto& m : snapshot.metrics) {
@@ -577,23 +543,20 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     const auto dot = m.name.rfind('.');
     const std::string phase = m.name.substr(8, dot - 8);
     const std::string field = m.name.substr(dot + 1);
-    if (phase == "watchdog") continue;  // the global roll-up, not a phase
     if (rows.empty() || rows.back().phase != phase)
-      rows.push_back(PhaseRow{phase, 0, 0, 0, 0});
+      rows.push_back(PhaseRow{phase, 0, 0, 0});
     PhaseRow& row = rows.back();
     if (field == "wall_us") row.wall_us = m.value;
     else if (field == "queue_wait_us") row.queue_wait_us = m.value;
     else if (field == "tasks") row.tasks = m.value;
-    else if (field == "stalled") row.stalled = m.value;
   }
   if (!rows.empty()) {
     out += "  phase profile:\n";
     for (const PhaseRow& row : rows) {
       std::snprintf(line, sizeof(line),
-                    "    %-28s tasks=%-6.0f wall=%-9.1fms queue-wait=%-9.1fms "
-                    "stalled=%.0f\n",
+                    "    %-28s tasks=%-6.0f wall=%-9.1fms queue-wait=%.1fms\n",
                     row.phase.c_str(), row.tasks, row.wall_us / 1000.0,
-                    row.queue_wait_us / 1000.0, row.stalled);
+                    row.queue_wait_us / 1000.0);
       out += line;
     }
   }
@@ -644,11 +607,9 @@ bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
 }
 
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest) {
-  return write_out(path, to_jsonl(snapshot, manifest) + spans_jsonl(spans) +
-                             events_jsonl(events));
+  return write_out(path, to_jsonl(snapshot, manifest) + events_jsonl(events));
 }
 
 bool write_events_file(const std::string& path, const std::vector<ResolvedEvent>& events,

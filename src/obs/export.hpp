@@ -1,5 +1,5 @@
-// Exporters for metric snapshots and span traces, plus the run
-// manifest that stamps every export with what produced it.
+// Exporters for metric snapshots and flight-recorder event streams,
+// plus the run manifest that stamps every export with what produced it.
 //
 // Two formats:
 //   * Prometheus text exposition — counters/gauges as single samples,
@@ -9,7 +9,9 @@
 //     along as "# manifest:" comment lines.
 //   * JSON lines — one object per line, first line the manifest
 //     ({"type":"manifest",...}), then one line per metric and one per
-//     span. This is the machine-readable trace format (--trace-out).
+//     recorder event. This is the machine-readable trace format
+//     (--trace-out); a shard's timing is its phase_exit wall_us minus
+//     its phase_enter wall_us.
 //
 // Both formats have parsers good enough to round-trip our own output;
 // the unit tests feed exports back through them and require every
@@ -23,7 +25,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 namespace satnet::obs {
 
@@ -60,10 +61,6 @@ std::string to_prometheus(const Snapshot& snapshot, const RunManifest& manifest)
 /// JSONL: manifest line, then one line per metric.
 std::string to_jsonl(const Snapshot& snapshot, const RunManifest& manifest);
 
-/// JSONL span lines (no manifest; append after to_jsonl or write with
-/// write_trace_file which adds its own manifest line).
-std::string spans_jsonl(const std::vector<SpanRecord>& spans);
-
 /// One flight-recorder event as a JSONL line (no trailing \n). The
 /// deterministic fields come first; `wall_us` is last so goldens can
 /// strip it with a suffix cut.
@@ -72,7 +69,7 @@ std::string event_jsonl_line(const ResolvedEvent& event);
 /// JSONL event lines for a drained/snapshotted recorder stream.
 std::string events_jsonl(const std::vector<ResolvedEvent>& events);
 
-/// Parses event lines out of a JSONL document (manifest/metric/span
+/// Parses event lines out of a JSONL document (manifest and metric
 /// lines are ignored).
 std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text);
 
@@ -80,12 +77,9 @@ std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text);
 /// Snapshot (metrics sorted by name; manifest comments ignored).
 Snapshot parse_prometheus(const std::string& text);
 
-/// Parses JSONL produced by to_jsonl / write_trace_file. Span and
+/// Parses JSONL produced by to_jsonl / write_trace_file. Event and
 /// manifest lines are ignored; metric lines are recovered.
 Snapshot parse_jsonl(const std::string& text);
-
-/// Parses span lines out of a JSONL document.
-std::vector<SpanRecord> parse_spans_jsonl(const std::string& text);
 
 /// Human-readable summary of a snapshot: counters, gauges, histogram
 /// count/mean, plus derived lines (cone-prefilter ratio) when the
@@ -108,9 +102,8 @@ std::vector<std::string> nonfinite_metrics(const Snapshot& snapshot);
 bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
                         const RunManifest& manifest);
 
-/// Writes JSONL: manifest, metrics, spans, then flight-recorder events.
+/// Writes JSONL: manifest, metrics, then flight-recorder events.
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest);
 

@@ -74,22 +74,27 @@ std::string_view to_string(EventKind kind) {
 
 void FlightRecorder::Ring::push(EventRecord rec) {
   rec.seq = next_seq++;
-  if (count < capacity) {
+  if (slots.size() < capacity) {
     slots.push_back(rec);
-    ++count;
     return;
   }
-  // Full: overwrite the oldest record (head) with the newest. The drop
-  // set is "oldest first", so for a deterministic input stream the
-  // surviving window is deterministic too.
+  // Full: overwrite the oldest unpinned record (head) with the newest.
+  // The drop set is "oldest first after the pinned prefix", so for a
+  // deterministic input stream the surviving window is deterministic too.
   slots[head] = rec;
-  head = (head + 1) % capacity;
+  head = head + 1 == capacity ? pinned : head + 1;
   ++dropped;
 }
 
 void FlightRecorder::Ring::collect(std::vector<EventRecord>* out) const {
-  const std::size_t n = slots.size();
-  for (std::size_t i = 0; i < n; ++i) out->push_back(slots[(head + i) % n]);
+  // The pinned prefix, then the window oldest first (head == pinned
+  // until the ring first wraps).
+  const std::size_t window = slots.size() - pinned;
+  out->insert(out->end(), slots.begin(),
+              slots.begin() + static_cast<std::ptrdiff_t>(pinned));
+  for (std::size_t i = 0; i < window; ++i) {
+    out->push_back(slots[pinned + (head - pinned + i) % window]);
+  }
 }
 
 FlightRecorder::FlightRecorder()
@@ -213,7 +218,7 @@ void FlightRecorder::record_for_shard(std::string_view phase, std::size_t shard,
 
 void FlightRecorder::flush_ring(std::uint32_t phase_id, const Ring& ring) {
   std::vector<EventRecord> recs;
-  recs.reserve(ring.count);
+  recs.reserve(ring.slots.size());
   ring.collect(&recs);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -263,7 +268,6 @@ std::vector<ResolvedEvent> FlightRecorder::drain() {
     for (const EventRecord& rec : recs) raw.emplace_back(rec.phase_id, rec);
     lr->ring.slots.clear();
     lr->ring.head = 0;
-    lr->ring.count = 0;
   }
   return resolve_and_sort(std::move(raw));
 }
@@ -314,9 +318,10 @@ ShardScope::ShardScope(std::string_view phase, std::size_t shard,
   phase_id_ = r->intern(phase);
   shard_ = static_cast<std::uint32_t>(shard);
   attempt_ = static_cast<std::uint32_t>(attempt);
-  capacity_ = r->ring_capacity();
-  ring_.capacity = capacity_;
-  ring_.slots.reserve(capacity_ < 64 ? capacity_ : 64);
+  ring_.capacity = r->ring_capacity();
+  ring_.pinned = 1;  // the phase_enter pushed below
+  ring_.head = 1;
+  ring_.slots.reserve(ring_.capacity < 64 ? ring_.capacity : 64);
   prev_ = tls_scope;
   tls_scope = this;
   r->record(EventKind::phase_enter, attempt_, 0);

@@ -2,8 +2,10 @@
 // buffer of fixed-size binary event records, drained into the JSONL
 // export and dumped as a postmortem when a run dies.
 //
-// Record discipline mirrors the tracer: events land in buffers owned by
-// the recording thread (a ShardScope ring while a shard body runs, a
+// It is the one timed-record mechanism: a shard attempt's timing is its
+// phase_exit wall_us minus its phase_enter wall_us, and --trace-out is
+// a view over the drained stream. Events land in buffers owned by the
+// recording thread (a ShardScope ring while a shard body runs, a
 // registered per-thread ring otherwise), so recording never contends
 // with other workers. drain() merges everything in canonical
 // (phase, shard, attempt, seq) order.
@@ -13,15 +15,16 @@
 // (seed, config, plan) for every record with det == 1, because such
 // records are only emitted inside a ShardScope whose event stream is
 // the shard body's deterministic execution. Ring overflow drops the
-// *oldest* records of that shard's own stream, so even the surviving
-// set is deterministic. Wall-clock lives in the separate `wall_us`
-// field (satlint-annotated at the single read site) and is excluded
-// from golden comparisons and the postmortem stability check. Records
-// emitted outside any shard scope (queue-depth samples, watchdog
-// flags) are inherently scheduling-dependent and carry det == 0.
+// oldest records of that shard's own stream after its pinned
+// phase_enter, so even the surviving set is deterministic. Wall-clock
+// lives in the separate `wall_us` field (satlint-annotated at the
+// single read site) and is excluded from golden comparisons and the
+// postmortem stability check. Records emitted outside any shard scope
+// (queue-depth samples, watchdog flags) are inherently
+// scheduling-dependent and carry det == 0.
 //
-// Like metrics and spans, recorder state is observation-only: nothing
-// in the simulation reads an event back, so enabling the recorder can
+// Like metrics, recorder state is observation-only: nothing in the
+// simulation reads an event back, so enabling the recorder can
 // never perturb campaign output — the determinism suite pins this.
 #pragma once
 
@@ -95,8 +98,9 @@ class FlightRecorder {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Ring capacity per shard scope (and per unscoped thread ring).
-  /// Applies to scopes opened after the call. Minimum 2 (a ring that
-  /// cannot hold phase_enter + phase_exit records nothing useful).
+  /// Applies to scopes opened after the call. Minimum 2: a scope ring
+  /// pins its phase_enter and always ends on phase_exit, so even the
+  /// smallest ring keeps one complete pair per attempt.
   void set_ring_capacity(std::size_t cap);
   std::size_t ring_capacity() const {
     return ring_capacity_.load(std::memory_order_relaxed);
@@ -146,11 +150,15 @@ class FlightRecorder {
  private:
   friend class ShardScope;
 
+  /// Drop-oldest ring whose first `pinned` records are never
+  /// overwritten: a ShardScope pins its phase_enter (pinned = 1, pushed
+  /// when the scope opens), an unscoped thread ring pins nothing. Slots
+  /// [pinned, capacity) wrap.
   struct Ring {
     std::vector<EventRecord> slots;  ///< grows to capacity, then wraps
-    std::size_t capacity = 2;        ///< fixed at ring creation
-    std::size_t head = 0;            ///< oldest record once full
-    std::size_t count = 0;           ///< records currently held
+    std::size_t capacity = 2;        ///< fixed at ring creation, > pinned
+    std::size_t pinned = 0;          ///< leading records kept on overflow
+    std::size_t head = 0;            ///< oldest unpinned slot once full
     std::uint64_t dropped = 0;       ///< overwritten (oldest-first) records
     std::uint32_t next_seq = 0;
 
@@ -184,10 +192,11 @@ class FlightRecorder {
 
 /// RAII scope marking "this thread is running shard `shard` of phase
 /// `phase`, attempt `attempt`". Opens a bounded ring for the shard's
-/// event stream, records phase_enter/phase_exit, and flushes the ring
-/// into the recorder on exit. Cheap no-op while the recorder is
-/// disabled. Scopes may not nest on one thread (the inner scope wins
-/// until destroyed).
+/// event stream, records phase_enter (pinned: overflow never drops it)
+/// and phase_exit (pushed last, so it always survives), and flushes the
+/// ring into the recorder on exit. Cheap no-op while the recorder is
+/// disabled. Scopes nest on one thread: the inner scope takes the
+/// thread's records until it is destroyed.
 class ShardScope {
  public:
   ShardScope(std::string_view phase, std::size_t shard, std::size_t attempt = 0,
@@ -205,7 +214,6 @@ class ShardScope {
   std::uint32_t phase_id_ = 0;
   std::uint32_t shard_ = 0;
   std::uint32_t attempt_ = 0;
-  std::size_t capacity_ = 0;
   FlightRecorder::Ring ring_;
 };
 

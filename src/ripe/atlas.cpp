@@ -7,7 +7,6 @@
 
 #include "geo/places.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "orbit/timeline.hpp"
 #include "runtime/sharded.hpp"
 #include "sim/event_queue.hpp"
@@ -155,8 +154,6 @@ AtlasDataset run_atlas_campaign(const AtlasConfig& config) {
       dataset.probes.size(),
       [&](std::size_t probe_index) {
     const Probe& probe = dataset.probes[probe_index];
-    obs::ScopedSpan span("ripe.probe", "probe-" + std::to_string(probe.id),
-                         static_cast<std::uint64_t>(probe_index));
     ProbeRecords local;
     sim::EventQueue queue;
     for (ProbeRound& round : probe_schedule(master, probe, horizon, interval)) {

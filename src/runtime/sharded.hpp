@@ -32,9 +32,12 @@
 // Observability: every run records each shard's wall-clock into the
 // runtime.shard.latency_ms histogram, the fan-in (slot collection) into
 // runtime.shard.merge_us, retries and quarantines into
-// runtime.shard.retry / runtime.shard.degraded, and — when tracing is
-// enabled — one span per attempt under the campaign's phase name. All of
-// it is wall-clock-only telemetry; shard results never depend on it.
+// runtime.shard.retry / runtime.shard.degraded, and the per-phase
+// profile into profile.<phase>.{wall_us,queue_wait_us,tasks}. Each
+// attempt runs inside an obs::ShardScope, so with the flight recorder
+// on it is bracketed by phase_enter/phase_exit records under the
+// campaign's phase name. All of it is wall-clock-only telemetry; shard
+// results never depend on it.
 #pragma once
 
 #include <atomic>
@@ -50,9 +53,7 @@
 
 #include "fault/hook.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace satnet::runtime {
@@ -108,9 +109,9 @@ class ShardedCampaign {
  public:
   using ShardFn = std::function<Result(std::size_t shard)>;
 
-  /// `phase` labels this campaign's spans, groups them in trace exports
-  /// ("mlab.campaign", "ripe.atlas", ...), and is the target fault-plan
-  /// shard_failure events match against.
+  /// `phase` labels this campaign's recorder events and profile.*
+  /// counters ("mlab.campaign", "ripe.atlas", ...), and is the target
+  /// fault-plan shard_failure events match against.
   ShardedCampaign(std::size_t n_shards, ShardFn fn, std::string phase = "campaign")
       : n_shards_(n_shards), fn_(std::move(fn)), phase_(std::move(phase)) {}
 
@@ -141,6 +142,14 @@ class ShardedCampaign {
     obs::Histogram& latency = reg.histogram(
         "runtime.shard.latency_ms", obs::latency_buckets_ms(),
         "per-shard wall-clock");
+    std::string profile = "profile.";
+    profile += phase_;
+    obs::Counter& phase_wall_us =
+        reg.counter(profile + ".wall_us", "total shard wall time for the phase");
+    obs::Counter& phase_queue_wait_us =
+        reg.counter(profile + ".queue_wait_us", "total submit-to-start queue wait");
+    obs::Counter& phase_tasks =
+        reg.counter(profile + ".tasks", "shard attempts profiled");
 
     // Retry accounting is written by workers; an atomic keeps it
     // race-free, and the total is scheduling-independent because the
@@ -149,8 +158,6 @@ class ShardedCampaign {
 
     const auto timed_attempt = [&](std::size_t i, std::size_t attempt,
                                    double queue_wait_ms) {
-      obs::ScopedSpan span(phase_, attempt == 0 ? "shard" : "retry",
-                           static_cast<std::uint64_t>(i));
       // Flight-recorder scope: the shard's event stream (phase enter/
       // exit, fault hits, retries) lands in a per-shard ring whose
       // content is deterministic — only wall_us varies run to run.
@@ -174,8 +181,11 @@ class ShardedCampaign {
               std::chrono::steady_clock::now() - t0)
               .count();
       latency.observe(wall_ms);
-      obs::PhaseProfiler::global().attempt_done(
-          phase_, i, wall_ms, attempt == 0 ? queue_wait_ms : 0.0);
+      phase_wall_us.add(static_cast<std::uint64_t>(wall_ms * 1000.0));
+      if (attempt == 0) {
+        phase_queue_wait_us.add(static_cast<std::uint64_t>(queue_wait_ms * 1000.0));
+      }
+      phase_tasks.add(1);
       shards_run.add(1);
       return r;
     };
@@ -211,14 +221,14 @@ class ShardedCampaign {
     } else {
       ThreadPool pool(n_threads);
       for (std::size_t i = 0; i < n_shards_; ++i) {
-        // satlint:allow(nondet-source): queue-wait telemetry for the profiler; shard results never read the clock
-        // satlint:allow(nondet-taint): submit_t feeds only the profiler's wait_ms; guarded_shard ignores it for results
+        // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+        // satlint:allow(nondet-taint): submit_t feeds only the profile's wait_ms; guarded_shard ignores it for results
         const auto submit_t = std::chrono::steady_clock::now();
         pool.submit([i, submit_t, &guarded_shard] {
           const double wait_ms =
               std::chrono::duration<double, std::milli>(
-                  // satlint:allow(nondet-source): queue-wait telemetry for the profiler; shard results never read the clock
-                  // satlint:allow(nondet-taint): wait_ms is profiler telemetry; shard results are computed from (i, seed) alone
+                  // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+                  // satlint:allow(nondet-taint): wait_ms is profile telemetry; shard results are computed from (i, seed) alone
                   std::chrono::steady_clock::now() - submit_t)
                   .count();
           guarded_shard(i, wait_ms);
@@ -226,9 +236,6 @@ class ShardedCampaign {
       }
       pool.wait_idle();
     }
-    // Close out the phase: the watchdog's passive half computes the
-    // median shard wall time and flags stragglers (telemetry-only).
-    obs::PhaseProfiler::global().phase_done(phase_);
 
     if (report) {
       report->phase = phase_;

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/sharded.hpp"
 #include "stats/summary.hpp"
 #include "synth/asdb.hpp"
@@ -106,12 +106,14 @@ PipelineResult run_pipeline(const mlab::NdtDataset& dataset,
       reg.counter("snoid.prefixes_dropped", "/24s rejected by strict filtering");
 
   PipelineResult result;
+  // The serial stages are shards 0 (curate), 1 (index) and
+  // 2 (relaxation) of the snoid.pipeline phase in the recorder stream.
   const std::vector<Candidate> candidates = [&] {
-    obs::ScopedSpan span("snoid.pipeline", "curate", 0);
+    obs::ShardScope stage("snoid.pipeline", 0);
     return curate(result);
   }();
   const auto by_asn = [&] {
-    obs::ScopedSpan span("snoid.pipeline", "index", 1);
+    obs::ShardScope stage("snoid.pipeline", 1);
     return dataset.by_asn();
   }();
 
@@ -127,8 +129,6 @@ PipelineResult run_pipeline(const mlab::NdtDataset& dataset,
       candidates.size(),
       [&](std::size_t cand_index) {
     const Candidate& cand = candidates[cand_index];
-    obs::ScopedSpan span("snoid.validation", cand.name,
-                         static_cast<std::uint64_t>(cand_index));
     OperatorResult op;
     op.name = cand.name;
     op.declared_orbit = cand.declared;
@@ -211,7 +211,7 @@ PipelineResult run_pipeline(const mlab::NdtDataset& dataset,
   result.operators = validation.run_with_report(cfg.threads, cfg.retry, nullptr);
 
   // ---- Step 3c: relaxation thresholds (cross-operator, serial). ----
-  obs::ScopedSpan relax_span("snoid.pipeline", "relaxation", 2);
+  obs::ShardScope relax_stage("snoid.pipeline", 2);
   double fallback = std::numeric_limits<double>::max();
   for (const auto& op : result.operators) {
     if (op.covered_by_strict) fallback = std::min(fallback, op.relax_threshold_ms);

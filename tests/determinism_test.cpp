@@ -7,11 +7,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "mlab/campaign.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
@@ -132,23 +134,31 @@ TEST(DeterminismTest, AtlasDatasetIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, ObservabilityNeverPerturbsResults) {
-  // The obs contract: metrics and spans are wall-clock telemetry that
-  // never feeds back into simulation state. Campaign output must be
-  // byte-identical with observability fully off and fully on, at every
-  // thread count.
+  // The obs contract: metrics and flight-recorder events are wall-clock
+  // telemetry that never feeds back into simulation state. Campaign,
+  // pipeline and atlas output must be byte-identical with observability
+  // fully off and fully on (recorder at a tight ring, to exercise
+  // overflow), at every thread count.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Tracer& tracer = obs::Tracer::global();
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
 
   reg.set_enabled(false);
-  tracer.set_enabled(false);
+  rec.set_enabled(false);
   const auto baseline = mlab::run_campaign(world(), campaign_config(1));
   snoid::PipelineConfig pcfg;
   pcfg.threads = 1;
   const auto baseline_pipeline = snoid::run_pipeline(baseline, pcfg);
+  ripe::AtlasConfig acfg;
+  acfg.duration_days = 30.0;
+  acfg.round_interval_hours = 24.0;
+  acfg.threads = 1;
+  const std::uint64_t atlas_baseline = atlas_hash(ripe::run_atlas_campaign(acfg));
   ASSERT_GT(baseline.size(), 0u);
 
+  const std::size_t old_capacity = rec.ring_capacity();
   reg.set_enabled(true);
-  tracer.set_enabled(true);
+  rec.set_enabled(true);
+  rec.set_ring_capacity(8);  // force drop-oldest on busy shards
   for (const unsigned threads : {1u, 2u, 8u}) {
     const auto ds = mlab::run_campaign(world(), campaign_config(threads));
     EXPECT_EQ(baseline.hash(), ds.hash()) << threads << " threads";
@@ -163,42 +173,78 @@ TEST(DeterminismTest, ObservabilityNeverPerturbsResults) {
       EXPECT_DOUBLE_EQ(a.precision(), b.precision()) << b.name;
       EXPECT_DOUBLE_EQ(a.recall(), b.recall()) << b.name;
     }
-  }
-  // Instrumentation did observe the runs (sanity: spans were recorded).
-  EXPECT_FALSE(tracer.drain().empty());
-  tracer.set_enabled(false);  // restore defaults for other tests
-}
-
-TEST(DeterminismTest, RecorderNeverPerturbsResults) {
-  // The flight recorder and phase profiler are observation-only: events
-  // land in rings, aggregates in the registry, nothing is ever read
-  // back by the simulation. Campaign output must be byte-identical with
-  // the recorder fully on (tight ring, to exercise overflow) and fully
-  // off, at every thread count.
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  rec.set_enabled(false);
-  const auto baseline = mlab::run_campaign(world(), campaign_config(1));
-  ripe::AtlasConfig acfg;
-  acfg.duration_days = 30.0;
-  acfg.round_interval_hours = 24.0;
-  acfg.threads = 1;
-  const std::uint64_t atlas_baseline = atlas_hash(ripe::run_atlas_campaign(acfg));
-  ASSERT_GT(baseline.size(), 0u);
-
-  const std::size_t old_capacity = rec.ring_capacity();
-  rec.set_enabled(true);
-  rec.set_ring_capacity(8);  // force drop-oldest on busy shards
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const auto ds = mlab::run_campaign(world(), campaign_config(threads));
-    EXPECT_EQ(baseline.hash(), ds.hash()) << threads << " threads (recorder on)";
     acfg.threads = threads;
     EXPECT_EQ(atlas_baseline, atlas_hash(ripe::run_atlas_campaign(acfg)))
-        << threads << " threads (recorder on)";
+        << threads << " threads";
   }
-  // The recorder did observe the runs (sanity: events were recorded).
+  // Instrumentation did observe the runs (sanity: events were recorded).
   EXPECT_FALSE(rec.drain().empty());
   rec.set_ring_capacity(old_capacity);
   rec.set_enabled(false);  // restore defaults for other tests
+}
+
+TEST(TraceViewTest, OnePhasePairPerShardAttemptAtRingTwo) {
+  // --trace-out is a view over the recorder stream: a shard's duration
+  // is its phase_exit wall_us minus its phase_enter wall_us. That only
+  // works if every attempt keeps both records, so the smallest ring
+  // must still hold exactly one enter/exit pair per attempt — the ring
+  // pins phase_enter and pushes phase_exit last.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
+  const auto tasks = [&reg](const char* phase) {
+    return reg.counter(std::string("profile.") + phase + ".tasks").value();
+  };
+  const std::uint64_t mlab_before = tasks("mlab.campaign");
+  const std::uint64_t validation_before = tasks("snoid.validation");
+
+  rec.drain();  // isolate from events earlier tests left behind
+  const std::size_t old_capacity = rec.ring_capacity();
+  rec.set_enabled(true);
+  rec.set_ring_capacity(2);
+  const auto ds = mlab::run_campaign(world(), campaign_config(2));
+  snoid::PipelineConfig cfg;
+  cfg.threads = 2;
+  const auto pipe = snoid::run_pipeline(ds, cfg);
+  const std::vector<obs::ResolvedEvent> events = rec.drain();
+  rec.set_ring_capacity(old_capacity);
+  rec.set_enabled(false);
+
+  // No retries here, so one attempt per shard: the profile counters
+  // count the shards each phase ran.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"mlab.campaign", tasks("mlab.campaign") - mlab_before},
+      {"snoid.validation", tasks("snoid.validation") - validation_before},
+      {"snoid.pipeline", 3},  // curate, index, relaxation
+  };
+  EXPECT_EQ(expected.at("snoid.validation"), pipe.operators.size());
+  for (const auto& [phase, shards] : expected) {
+    ASSERT_GT(shards, 0u) << phase;
+    struct Pair {
+      std::uint64_t enter_us = 0, exit_us = 0;
+      int enters = 0, exits = 0;
+    };
+    std::map<std::uint32_t, Pair> pairs;  // by shard
+    for (const obs::ResolvedEvent& ev : events) {
+      if (ev.phase != phase) continue;
+      EXPECT_EQ(ev.rec.attempt, 0u) << phase;
+      Pair& p = pairs[ev.rec.shard];
+      if (ev.rec.kind == static_cast<std::uint16_t>(obs::EventKind::phase_enter)) {
+        p.enter_us = ev.rec.wall_us;
+        ++p.enters;
+      } else if (ev.rec.kind == static_cast<std::uint16_t>(obs::EventKind::phase_exit)) {
+        p.exit_us = ev.rec.wall_us;
+        ++p.exits;
+      }
+    }
+    ASSERT_EQ(pairs.size(), shards) << phase;
+    std::uint32_t next_shard = 0;
+    for (const auto& [shard, p] : pairs) {
+      EXPECT_EQ(shard, next_shard++) << phase;
+      EXPECT_EQ(p.enters, 1) << phase << " shard " << shard;
+      EXPECT_EQ(p.exits, 1) << phase << " shard " << shard;
+      EXPECT_GE(p.exit_us, p.enter_us) << phase << " shard " << shard;
+    }
+  }
 }
 
 TEST(DeterminismTest, AccessCacheNeverPerturbsResults) {

@@ -1,7 +1,7 @@
 // The observability layer's own contract: lock-free metric updates that
-// survive a concurrent hammer + scrape, deterministic span merge order,
-// and exporters that round-trip every registered metric. The whole
-// binary also runs under the TSan preset (scripts/verify.sh).
+// survive a concurrent hammer + scrape, and exporters that round-trip
+// every registered metric. The whole binary also runs under the TSan
+// preset (scripts/verify.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +12,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace satnet::obs {
 namespace {
@@ -298,65 +296,6 @@ TEST(ExportTest, ManifestWithEmptyCommandRoundTrips) {
   expect_snapshots_equal(snap, parse_jsonl(to_jsonl(snap, m)));
   expect_snapshots_equal(snap, parse_prometheus(to_prometheus(snap, m)));
   EXPECT_FALSE(summary_text(snap, m).empty());
-}
-
-TEST(TracerTest, SpansMergeInPhaseShardSeqOrder) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  // Record from multiple threads in scrambled shard order: drain must
-  // come back sorted by (phase, shard, seq) regardless.
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&tracer, t] {
-      for (int i = 0; i < 3; ++i) {
-        ScopedSpan span("phase-" + std::to_string(t % 2), "work",
-                        static_cast<std::uint64_t>(10 - i), &tracer);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 12u);
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    const bool ordered =
-        std::tie(spans[i - 1].phase, spans[i - 1].shard_key, spans[i - 1].seq) <=
-        std::tie(spans[i].phase, spans[i].shard_key, spans[i].seq);
-    EXPECT_TRUE(ordered) << "span " << i << " out of order";
-  }
-  // Drain emptied the buffers.
-  EXPECT_TRUE(tracer.drain().empty());
-}
-
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer;  // disabled by default
-  {
-    ScopedSpan span("p", "n", 0, &tracer);
-  }
-  EXPECT_TRUE(tracer.drain().empty());
-}
-
-TEST(TracerTest, SpanRoundTripThroughJsonl) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    ScopedSpan span("mlab.campaign", "starlink", 3, &tracer);
-  }
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 1u);
-  const auto parsed = parse_spans_jsonl(spans_jsonl(spans));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].phase, "mlab.campaign");
-  EXPECT_EQ(parsed[0].name, "starlink");
-  EXPECT_EQ(parsed[0].shard_key, 3u);
-  EXPECT_DOUBLE_EQ(parsed[0].start_ms, spans[0].start_ms);
-  EXPECT_DOUBLE_EQ(parsed[0].duration_ms, spans[0].duration_ms);
-}
-
-TEST(TracerTest, GlobalRegistryAndTracerCoexist) {
-  // The global objects are what the instrumented layers use; make sure
-  // the singletons are stable across calls.
-  EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
-  EXPECT_EQ(&Tracer::global(), &Tracer::global());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Flight recorder, phase profiler, and pool watchdog tests.
+// Flight recorder and pool watchdog tests.
 //
 // The load-bearing property is the determinism contract: a det == 1
 // record's content (kind, phase, shard, attempt, seq, a, b) replays
@@ -22,7 +22,6 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/thread_pool.hpp"
@@ -79,25 +78,27 @@ TEST(RecorderTest, RingDropsOldestAndPhaseExitSurvives) {
   {
     ShardScope scope("ring", 7, 0, &rec);
     // 12 pushes total into a capacity-4 ring: enter (seq 0), ten
-    // fault_hits (seq 1..10), exit (seq 11). Oldest-first overwrite
-    // leaves exactly seq 8..11.
+    // fault_hits (seq 1..10), exit (seq 11). phase_enter is pinned and
+    // the other three slots drop oldest first, leaving seq 0, 9, 10, 11.
     for (std::uint64_t i = 0; i < 10; ++i) {
       rec.record(EventKind::fault_hit, /*a=*/100 + i);
     }
   }
   const std::vector<ResolvedEvent> events = rec.drain();
   ASSERT_EQ(events.size(), 4u);
+  const std::uint32_t seqs[] = {0, 9, 10, 11};
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].phase, "ring");
     EXPECT_EQ(events[i].rec.shard, 7u);
-    EXPECT_EQ(events[i].rec.seq, 8u + i);
+    EXPECT_EQ(events[i].rec.seq, seqs[i]);
     EXPECT_EQ(events[i].rec.det, 1u);
   }
+  EXPECT_EQ(events[0].rec.kind, static_cast<std::uint16_t>(EventKind::phase_enter));
   // Surviving fault_hits carry their original payloads (seq k = a 99+k).
-  EXPECT_EQ(events[0].rec.kind, static_cast<std::uint16_t>(EventKind::fault_hit));
-  EXPECT_EQ(events[0].rec.a, 107u);
+  EXPECT_EQ(events[1].rec.kind, static_cast<std::uint16_t>(EventKind::fault_hit));
+  EXPECT_EQ(events[1].rec.a, 108u);
   // phase_exit is pushed last so it always survives overflow: a = drops
-  // before its own push (seqs 0..6), b = records attempted before it.
+  // before its own push (seqs 1..7), b = records attempted before it.
   const ResolvedEvent& exit_ev = events.back();
   EXPECT_EQ(exit_ev.rec.kind, static_cast<std::uint16_t>(EventKind::phase_exit));
   EXPECT_EQ(exit_ev.rec.a, 7u);
@@ -258,62 +259,6 @@ TEST(RecorderTest, PostmortemDeterministicFieldsStableAcrossRuns) {
   // ... and the wall-clock really is the only varying part: the raw
   // texts themselves have identical line counts and lengths modulo it.
   EXPECT_NE(run_a.find("\"phase\":\"rec.postmortem.test\""), std::string::npos);
-}
-
-TEST(ProfilerTest, WatchdogFlagsStragglersOverMedianMultiple) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const double old_multiple = prof.stall_multiple();
-  const double old_min = prof.stall_min_ms();
-  prof.set_stall_multiple(4.0);
-  prof.set_stall_min_ms(1.0);
-
-  const char* phase = "prof.watchdog.test";
-  prof.attempt_done(phase, 0, 10.0, 0.0);
-  prof.attempt_done(phase, 1, 10.0, 0.5);
-  prof.attempt_done(phase, 2, 10.0, 0.0);
-  prof.attempt_done(phase, 3, 1000.0, 0.0);  // 100x the median: a straggler
-  EXPECT_EQ(prof.phase_done(phase), 1u);
-
-  // The phase buffer was cleared: closing again flags nothing.
-  EXPECT_EQ(prof.phase_done(phase), 0u);
-
-  const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
-  const obs::MetricValue* stalled = snap.find("profile.prof.watchdog.test.stalled");
-  ASSERT_NE(stalled, nullptr);
-  EXPECT_EQ(stalled->value, 1.0);
-  const obs::MetricValue* tasks = snap.find("profile.prof.watchdog.test.tasks");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->value, 4.0);
-  const obs::MetricValue* wall = snap.find("profile.prof.watchdog.test.wall_us");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->value, 1030.0 * 1000.0);
-
-  prof.set_stall_multiple(old_multiple);
-  prof.set_stall_min_ms(old_min);
-}
-
-TEST(ProfilerTest, UniformPhaseFlagsNothing) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const char* phase = "prof.uniform.test";
-  for (std::size_t s = 0; s < 8; ++s) prof.attempt_done(phase, s, 5.0, 0.0);
-  EXPECT_EQ(prof.phase_done(phase), 0u);
-}
-
-TEST(ProfilerTest, StallFloorSuppressesTrivialPhases) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const double old_multiple = prof.stall_multiple();
-  const double old_min = prof.stall_min_ms();
-  prof.set_stall_multiple(2.0);
-  prof.set_stall_min_ms(50.0);
-  // 0.01ms median, 0.1ms straggler: 10x over the multiple but far under
-  // the floor — trivial phases must not flag noise.
-  const char* phase = "prof.floor.test";
-  prof.attempt_done(phase, 0, 0.01, 0.0);
-  prof.attempt_done(phase, 1, 0.01, 0.0);
-  prof.attempt_done(phase, 2, 0.1, 0.0);
-  EXPECT_EQ(prof.phase_done(phase), 0u);
-  prof.set_stall_multiple(old_multiple);
-  prof.set_stall_min_ms(old_min);
 }
 
 TEST(WatchdogTest, PoolWatchdogFlagsLongRunningTask) {

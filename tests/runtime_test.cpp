@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/thread_pool.hpp"
 #include "stats/rng.hpp"
@@ -91,6 +92,21 @@ TEST(ShardedCampaignTest, ResultsInShardOrderForAnyThreadCount) {
     ASSERT_EQ(out.size(), 64u);
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
   }
+}
+
+TEST(ShardedCampaignTest, PhaseProfileCountsEveryShard) {
+  // The campaign emits its own per-phase profile: one task per shard
+  // attempt, plus the wall and queue-wait totals, under its phase name.
+  constexpr std::size_t kShards = 12;
+  ShardedCampaign<std::size_t> campaign(
+      kShards, [](std::size_t i) { return i; }, "runtime.profile.test");
+  ASSERT_EQ(campaign.run(4).size(), kShards);
+  const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
+  const obs::MetricValue* tasks = snap.find("profile.runtime.profile.test.tasks");
+  ASSERT_NE(tasks, nullptr);
+  EXPECT_EQ(tasks->value, static_cast<double>(kShards));
+  EXPECT_NE(snap.find("profile.runtime.profile.test.wall_us"), nullptr);
+  EXPECT_NE(snap.find("profile.runtime.profile.test.queue_wait_us"), nullptr);
 }
 
 TEST(ShardedCampaignTest, ShardExceptionPropagates) {
