@@ -30,7 +30,6 @@
 #include "io/timeline_io.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 
 namespace {

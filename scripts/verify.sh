@@ -91,7 +91,7 @@ if [[ "$run_golden" == 1 ]]; then
   echo "== golden: snapshot suite + determinism/fault repeat at varying threads =="
   cmake -B build -S .
   cmake --build build -j "${jobs}" --target golden_test determinism_test fault_test \
-    bench_ablation_access_cache bench_timeline bench_propagate benchreport
+    bench_timeline benchreport
   # The flake gate: the determinism-sensitive suites run 3x, golden_test
   # additionally asserting one more thread count each round. Snapshots
   # regenerate only via `golden_test --update-golden`, never here. The
@@ -108,11 +108,8 @@ if [[ "$run_golden" == 1 ]]; then
     ./build/tests/fault_test
     ./build/tests/determinism_test
   done
-  # Ablation rounds: the whole snapshot suite must be byte-identical with
-  # the access-interval index disabled (the cache's equivalence oracle)
-  # and with the epoch timeline disabled (the replay equivalence oracle).
-  echo "-- ablation round: golden_test --no-access-cache --"
-  ./build/tests/golden_test --no-access-cache
+  # Ablation round: the whole snapshot suite must be byte-identical with
+  # the epoch timeline disabled (the replay equivalence oracle).
   echo "-- ablation round: golden_test --no-timeline --"
   ./build/tests/golden_test --no-timeline
   # Recorder round: the snapshot suite must be byte-identical with the
@@ -129,32 +126,21 @@ if [[ "$run_golden" == 1 ]]; then
     grep 'flight recorder:' build/golden-recorder.log >&2 || true
     exit 1
   fi
-  # Cache speedup + byte-identity report (exits 1 on divergence); the
-  # JSON lands in the repo root for CI artifact upload / trend tracking.
-  echo "-- ablation bench: bench_ablation_access_cache --"
-  ./build/bench/bench_ablation_access_cache --benchmark_filter='measure_handoffs'
-  test -s BENCH_access_cache.json
   # Timeline cold/warm/no-timeline A/B (exits 1 on divergence) + the
-  # warm-replay speedup record.
+  # warm-replay speedup record; the JSON lands in the repo root for CI
+  # artifact upload / trend tracking.
   echo "-- timeline bench: bench_timeline --"
   ./build/bench/bench_timeline --benchmark_filter='sample_replay'
   test -s BENCH_timeline.json
-  # Batched propagation vs per-sat scalar (exits 1 if the batch kernel
-  # loses its hoisting) + the walker/sgp4 cost comparison record.
-  echo "-- propagation bench: bench_propagate --"
-  ./build/bench/bench_propagate --benchmark_filter='walker_batch_epoch'
-  test -s BENCH_propagate.json
   # Perf-regression ledger: append this run to the committed history,
   # then gate on the machine-independent ratio metrics (speedups, hit
   # ratios) against the committed baseline. Absolute times are checked
   # only by CI's advisory step — they vary too much across machines for
   # a local hard gate.
   echo "-- bench ledger: benchreport append + ratio gate --"
-  ./build/tools/benchreport/benchreport --append \
-    BENCH_access_cache.json BENCH_timeline.json BENCH_propagate.json \
+  ./build/tools/benchreport/benchreport --append BENCH_timeline.json \
     --ledger bench/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
-  ./build/tools/benchreport/benchreport --check \
-    BENCH_access_cache.json BENCH_timeline.json BENCH_propagate.json \
+  ./build/tools/benchreport/benchreport --check BENCH_timeline.json \
     --ledger bench/ledger --ratios-only --tolerance 0.5
 fi
 

@@ -12,7 +12,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -239,8 +238,6 @@ const std::vector<Flag>& RunSession::shared_flags() {
        "stall threshold for the pool watchdog"},
       {"--fault-plan", "PATH", path(), "",
        "install a deterministic fault plan for the run (see src/fault)"},
-      {"--no-access-cache", "", {}, "",
-       "ablate the access-interval index of SGP4 networks"},
       {"--no-timeline", "", {}, "", "ablate the epoch-timeline precompute"},
       {"--timeline-in", "PATH", path(), "", "warm-start from a saved timeline file"},
       {"--timeline-out", "PATH", path(), "",
@@ -259,7 +256,6 @@ void RunSession::start(int argc, char** argv, int first, const std::vector<Flag>
     std::exit(2);
   }
 
-  if (args_.has("--no-access-cache")) orbit::set_access_cache_enabled(false);
   if (args_.has("--no-timeline")) orbit::set_timeline_enabled(false);
   if (args_.has("--timeline-in")) {
     const std::string& in = args_.str("--timeline-in");

@@ -11,9 +11,9 @@
 //
 // `RunSession` owns the flags every run accepts (`shared_flags()`):
 // threads, the obs exports (metrics, trace, flight recorder, pool
-// watchdog), the fault plan, and the access-index / epoch-timeline
-// toggles and files. `start` parses strictly — a bad argument prints
-// one diagnostic and exits 2 before any work — and applies them;
+// watchdog), the fault plan, and the epoch-timeline toggle and files.
+// `start` parses strictly — a bad argument prints one diagnostic and
+// exits 2 before any work — and applies them;
 // `finish(rc)` saves the timeline and writes the manifest-stamped
 // exports, and turns a failed write into one "error writing PATH" line
 // and exit 1. Everything here is observation or warm-start only:
@@ -103,8 +103,8 @@ class RunSession {
   static const std::vector<Flag>& shared_flags();
 
   /// Parses argv[first, argc) strictly against shared_flags() plus
-  /// `own`, then applies the shared ones: access-index and timeline
-  /// toggles, --timeline-in, recorder, watchdog, fault plan. A
+  /// `own`, then applies the shared ones: the timeline toggle,
+  /// --timeline-in, recorder, watchdog, fault plan. A
   /// bad argument or an unloadable fault plan prints one diagnostic and
   /// exits 2; a rejected --timeline-in file prints one and the run
   /// builds in memory.

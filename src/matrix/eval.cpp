@@ -8,7 +8,6 @@
 #include <string>
 
 #include "fault/hook.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "stats/rng.hpp"
 #include "transport/linkmodel.hpp"
@@ -25,25 +24,18 @@ namespace {
 /// effective cadence stretches instead of the evaluation exploding.
 constexpr std::size_t kMaxSamples = 40;
 
-/// Restores the timeline/access-cache ablation switches on scope exit.
+/// Restores the timeline ablation switch on scope exit.
 class ScopedAblation {
  public:
-  explicit ScopedAblation(bool use_caches)
-      : timeline_was_(orbit::timeline_enabled()),
-        cache_was_(orbit::access_cache_enabled()) {
-    orbit::set_timeline_enabled(use_caches && timeline_was_);
-    orbit::set_access_cache_enabled(use_caches && cache_was_);
+  explicit ScopedAblation(bool use_timeline) : timeline_was_(orbit::timeline_enabled()) {
+    orbit::set_timeline_enabled(use_timeline && timeline_was_);
   }
-  ~ScopedAblation() {
-    orbit::set_timeline_enabled(timeline_was_);
-    orbit::set_access_cache_enabled(cache_was_);
-  }
+  ~ScopedAblation() { orbit::set_timeline_enabled(timeline_was_); }
   ScopedAblation(const ScopedAblation&) = delete;
   ScopedAblation& operator=(const ScopedAblation&) = delete;
 
  private:
   bool timeline_was_;
-  bool cache_was_;
 };
 
 struct TerminalResult {

@@ -7,7 +7,7 @@
 // bits, flow-conservation accounting, and a small set of scalar
 // metrics. Everything in a WorldEval is a pure function of (spec,
 // options); the invariant harness (invariants.hpp) compares WorldEvals
-// across thread counts, cache/timeline ablation, and widening fault
+// across thread counts, timeline ablation, and widening fault
 // plans instead of pinning goldens.
 #pragma once
 
@@ -37,9 +37,8 @@ struct EvalOptions {
   /// weather_escalation, burst_loss) by this fraction of the gap to the
   /// next same-(kind, target) window — see widen_plan().
   double widen_fraction = 0.0;
-  /// false ablates both the epoch timeline and the access-interval
-  /// cache for the duration of the evaluation (value-transparency
-  /// check); restored on exit.
+  /// false ablates the epoch timeline for the duration of the
+  /// evaluation (value-transparency check); restored on exit.
   bool use_timeline = true;
   Mutation mutation = Mutation::none;
 };
@@ -47,7 +46,7 @@ struct EvalOptions {
 /// Everything the invariants compare.
 struct WorldEval {
   /// Canonical text: spec summary, one line per terminal, aggregates.
-  /// Byte-identical across thread counts and cache ablations.
+  /// Byte-identical across thread counts and timeline ablation.
   std::string report;
   /// Terminal-major reachability bits: ok_bits[terminal * samples + k]
   /// is 1 when the terminal had a usable sky at sample k (reachable and

@@ -48,15 +48,15 @@ std::optional<InvariantViolation> check_spec(const synth::ScenarioSpec& spec,
     }
   }
 
-  // Ablation identity: the epoch timeline and the access-interval cache
-  // are value-transparent accelerators.
+  // Ablation identity: the epoch timeline is a value-transparent
+  // accelerator.
   {
     EvalOptions opts = base_opts;
     opts.use_timeline = false;
     const WorldEval eval = evaluate_world(world, opts);
     if (eval.report != base.report) {
       return InvariantViolation{"ablation-identity",
-                                "timeline/access-cache off diverges: " +
+                                "timeline off diverges: " +
                                     first_diff(base.report, eval.report)};
     }
   }

@@ -4,7 +4,7 @@
 // every correct world must have (DESIGN.md §15):
 //   thread-identity        byte-identical report at 1/2/8 threads
 //   ablation-identity      byte-identical report with the epoch timeline
-//                          and access-interval cache disabled
+//                          disabled
 //   flow-conservation      bytes_sent == bytes_acked + bytes_retrans on
 //                          every simulated flow
 //   monotone-degradation   widening the monotone fault windows never

@@ -488,19 +488,6 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
                   swept->value, exact->value, swept->value / exact->value);
     out += line;
   }
-  // Derived: access-index cache effectiveness (PR 5's amortization claim).
-  const MetricValue* cache_hit = snapshot.find("access.cache.hit");
-  const MetricValue* cache_miss = snapshot.find("access.cache.miss");
-  if (cache_hit && cache_miss && cache_hit->value + cache_miss->value > 0) {
-    const MetricValue* inval = snapshot.find("access.cache.invalidation");
-    std::snprintf(line, sizeof(line),
-                  "  access cache: %.0f hits / %.0f misses (%.1f%% hit ratio, "
-                  "%.0f invalidated)\n",
-                  cache_hit->value, cache_miss->value,
-                  100.0 * cache_hit->value / (cache_hit->value + cache_miss->value),
-                  inval ? inval->value : 0.0);
-    out += line;
-  }
   // Derived: epoch-timeline replay effectiveness (PR 6's precompute
   // claim). Hit ratio only when a lookup actually happened — a build
   // with zero replays must not report a vacuous 0%.

@@ -6,7 +6,6 @@
 
 #include "fault/hook.hpp"
 #include "geo/places.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 
 namespace satnet::orbit {
@@ -20,12 +19,6 @@ AccessNetwork::AccessNetwork(AccessConfig config,
   if (!constellation_) throw std::invalid_argument("null constellation");
   if (config_.pops.empty() || config_.gateways.empty()) {
     throw std::invalid_argument("access network needs PoPs and gateways");
-  }
-  // The index amortizes SGP4's per-epoch frame propagation. Walker
-  // serving decisions are already as cheap as its candidate lists
-  // (walker_cone_sweep's plane windows), so Walker networks have none.
-  if (constellation_->model() == OrbitModel::sgp4) {
-    index_ = std::make_shared<const AccessIndex>(config_, constellation_);
   }
   identity_hash_ = access_identity_hash(config_, constellation_.get());
 }
@@ -75,11 +68,10 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
         case EpochTimeline::ServingReplay::serving:
           return serving_visible_sat(user, id, epoch_sec);
         case EpochTimeline::ServingReplay::miss:
-          break;  // uncovered epoch: fall through to the index / sweep
+          break;  // uncovered epoch: fall through to the sweep
       }
     }
   }
-  if (index_ && access_cache_enabled()) return index_->serving(user, epoch_sec);
   return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
 }
 
@@ -161,7 +153,6 @@ AccessSample AccessNetwork::sample(const geo::GeoPoint& user, double t_sec) cons
       }
     }
   }
-  if (index_ && access_cache_enabled()) return index_->sample(*this, user, t_sec, epoch);
   return build_sample(user, t_sec, serving_sat_at_epoch(user, epoch));
 }
 

@@ -25,7 +25,6 @@
 
 namespace satnet::orbit {
 
-class AccessIndex;
 class EpochTimeline;
 
 /// A point of presence: where the operator hands traffic to the Internet.
@@ -111,19 +110,13 @@ class AccessNetwork {
   /// only, best epoch alignment) — used by analytics as the "floor".
   double floor_one_way_ms(const geo::GeoPoint& user, double t_sec) const;
 
-  /// The network's visibility index: built for SGP4 constellations only
-  /// (null for Walker and GEO) — exposed so tests can assert the
-  /// candidate-superset property directly.
-  const AccessIndex* access_index() const { return index_.get(); }
-
   /// Stable identity over everything that feeds sample values (see
   /// access_identity_hash in timeline.hpp) — the key under which an
   /// EpochTimeline snapshot answers for this network.
   std::uint64_t identity_hash() const { return identity_hash_; }
 
  private:
-  friend class AccessIndex;     ///< memoizes build_sample on cache misses
-  friend class EpochTimeline;   ///< precomputes serving/sample layers
+  friend class EpochTimeline;  ///< precomputes serving/sample layers
 
   std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
                                                  double epoch_sec) const;
@@ -143,10 +136,6 @@ class AccessNetwork {
   AccessConfig config_;
   std::shared_ptr<const Constellation> constellation_;  ///< null for GEO
   GeoFleet fleet_;                                      ///< empty for LEO/MEO
-  /// Visibility index + epoch memo (SGP4 only; null otherwise). Shared
-  /// across copies: the index holds only immutable derived data, and its
-  /// caches are value-transparent (see access_index.hpp).
-  std::shared_ptr<const AccessIndex> index_;
   std::uint64_t identity_hash_ = 0;
 };
 

@@ -50,9 +50,9 @@ double walker_cos_gate(double altitude_km, double e_min_rad) {
   return std::cos(cone_half_angle(altitude_km, e_min_rad));
 }
 
-/// SGP4 frame gate. The 1e-6 rad slack absorbs unit-vector rounding so
+/// Full-frame gate. The 1e-6 rad slack absorbs unit-vector rounding so
 /// the cone never rejects a satellite the exact test would accept.
-double sgp4_cos_gate(double altitude_km, double e_min_rad) {
+double frame_cos_gate(double altitude_km, double e_min_rad) {
   return std::cos(cone_half_angle(altitude_km, e_min_rad) + 1e-6);
 }
 
@@ -107,51 +107,6 @@ geo::GeoPoint Constellation::position(const SatId& id, double t_sec) const {
   return propagator_->position(flat_index(id), t_sec);
 }
 
-std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, double t_sec,
-                                               double min_elevation_deg) const {
-  // Cone pre-filter (same gate math as best_visible, via the shared
-  // sweep): only the slots inside each plane's window run the exact
-  // ephemeris + elevation test. The windows admit every satellite the
-  // exact test would accept, and the sweep visits slots in canonical
-  // order, so results match the historical full-trig scan bit for bit —
-  // it is purely a pre-filter.
-  std::vector<VisibleSat> out;
-  double gx, gy, gz;
-  ground_unit(ground, gx, gy, gz);
-  const double e_min = geo::deg_to_rad(min_elevation_deg);
-
-  if (propagator_->model() == OrbitModel::walker) {
-    walker_cone_sweep(
-        shells_, gx, gy, gz, t_sec,
-        [&](std::size_t s) { return walker_cos_gate(shells_[s].altitude_km, e_min); },
-        [&](std::size_t s, std::size_t p, std::size_t i) {
-          const SatId id{s, p, i};
-          const geo::GeoPoint pos = position(id, t_sec);
-          const double elev = geo::elevation_deg(ground, pos);
-          if (elev >= min_elevation_deg) {
-            out.push_back({id, pos, elev,
-                           geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0},
-                                               pos)});
-          }
-        });
-    return out;
-  }
-
-  const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
-  const BatchFrame& frame = sgp4.frame_at(t_sec);
-  const double gate = sgp4_cos_gate(sgp4.max_gate_altitude_km(), e_min);
-  for (std::size_t f = 0; f < frame.size(); ++f) {
-    if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
-    const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
-    const double elev = geo::elevation_deg(ground, pos);
-    if (elev >= min_elevation_deg) {
-      out.push_back({sat_id_from_flat(f), pos, elev,
-                     geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)});
-    }
-  }
-  return out;
-}
-
 SatId Constellation::sat_id_from_flat(std::size_t flat) const {
   if (shells_.empty()) return SatId{0, 0, flat};
   std::size_t s = 0;
@@ -160,71 +115,114 @@ SatId Constellation::sat_id_from_flat(std::size_t flat) const {
   return SatId{s, within / shells_[s].sats_per_plane, within % shells_[s].sats_per_plane};
 }
 
-std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& ground,
-                                                      double t_sec,
-                                                      double min_elevation_deg) const {
-  // Hot path for campaign simulation: a full-trig sweep of every satellite
-  // costs ~1 ms per query for a Starlink-sized constellation. Instead,
-  // prefilter with the central-angle cone (see cone_half_angle): Walker
+template <typename Fn>
+std::size_t Constellation::for_each_candidate(const geo::GeoPoint& ground, double t_sec,
+                                              double min_elevation_deg,
+                                              Fn&& on_candidate) const {
+  // A full-trig sweep of every satellite costs ~1 ms per query for a
+  // Starlink-sized constellation. Instead, prefilter with the
+  // central-angle cone (see cone_half_angle): Walker and synthetic SGP4
   // shells through walker_cone_sweep's per-plane windows (one rotation
-  // step per plane, no per-satellite work outside the windows), SGP4
-  // through a dot-product gate on a memoized batch frame's unit vectors.
-  // The exact position/elevation path runs only for the few candidates,
-  // preserving the full scan's selection order and values bit-for-bit.
+  // step per plane, no per-satellite work outside the windows), TLE
+  // catalogs and deep-space shells through a dot-product gate on a
+  // memoized full frame. Only the candidates run the exact ephemeris.
   double gx, gy, gz;
   ground_unit(ground, gx, gy, gz);
   const double e_min = geo::deg_to_rad(min_elevation_deg);
 
+  if (propagator_->model() == OrbitModel::walker) {
+    return walker_cone_sweep(
+        shells_, gx, gy, gz,
+        [&](std::size_t s) {
+          return ShellSweep{walker_cos_gate(shells_[s].altitude_km, e_min),
+                            shells_[s].mean_motion_rad_per_sec() * t_sec,
+                            kEarthRotationRadPerSec * t_sec};
+        },
+        [&](std::size_t s, std::size_t p, std::size_t i) {
+          on_candidate(SatId{s, p, i}, walker_position(shells_[s], p, i, t_sec));
+        });
+  }
+
+  const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
+  if (const auto& gate = sgp4.secular_gate(); !gate.empty()) {
+    // Secular motion in SGP4's minutes; the node drifts against the
+    // Earth's rotation, and the cone widens by the shell's bound.
+    // position() computes this GMST per call; hoisting it keeps the doubles.
+    const double gst = gstime(sgp4.epoch_jd() + t_sec / 86400.0);
+    const double t_min = t_sec / 60.0;
+    return walker_cone_sweep(
+        shells_, gx, gy, gz,
+        [&](std::size_t s) {
+          const Sgp4Propagator::SecularShell& g = gate[s];
+          return ShellSweep{
+              std::cos(cone_half_angle(g.max_alt_km, e_min) + g.angle_bound_rad),
+              g.arg_lat_rate * t_min, gst - g.node_rate * t_min};
+        },
+        [&](std::size_t s, std::size_t p, std::size_t i) {
+          const SatId id{s, p, i};
+          on_candidate(id, sgp4.position_at_gst(flat_index(id), t_sec, gst));
+        });
+  }
+
+  const BatchFrame& frame = sgp4.frame_at(t_sec);
+  const double cos_gate = frame_cos_gate(sgp4.max_gate_altitude_km(), e_min);
+  for (std::size_t f = 0; f < frame.size(); ++f) {
+    if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < cos_gate) continue;
+    on_candidate(sat_id_from_flat(f),
+                 geo::GeoPoint{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]});
+  }
+  return frame.size();
+}
+
+std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, double t_sec,
+                                               double min_elevation_deg) const {
+  // The candidates cover every satellite the exact test accepts and
+  // arrive in canonical order, so this matches an exact scan of every
+  // satellite bit for bit: the cone is purely a prefilter.
+  std::vector<VisibleSat> out;
+  for_each_candidate(ground, t_sec, min_elevation_deg,
+                     [&](const SatId& id, const geo::GeoPoint& pos) {
+                       const double elev = geo::elevation_deg(ground, pos);
+                       if (elev >= min_elevation_deg) {
+                         out.push_back({id, pos, elev,
+                                        geo::slant_range_km(
+                                            {ground.lat_deg, ground.lon_deg, 0.0}, pos)});
+                       }
+                     });
+  return out;
+}
+
+std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& ground,
+                                                      double t_sec,
+                                                      double min_elevation_deg) const {
   // Cone-prefilter accounting: counted locally in the sweep and flushed
   // as three relaxed adds at the end. sats_swept is the slots the
-  // prefilter tested: the window's emitted slots for Walker, the whole
-  // frame for SGP4.
+  // prefilter tested: the windows' emitted slots, or the whole frame.
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& queries = obs::MetricsRegistry::global().counter(
       "orbit.best_visible.queries", "best_visible calls");
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& sats_swept = obs::MetricsRegistry::global().counter(
       "orbit.best_visible.sats_swept",
-      "satellites the cone prefilter tested (Walker: slots inside the plane windows)");
+      "satellites the cone prefilter tested (windowed shells: slots inside the plane windows)");
   // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
   static obs::Counter& exact_evals = obs::MetricsRegistry::global().counter(
       "orbit.best_visible.exact_evals",
       "satellites inside the cone that ran the exact ephemeris");
   std::uint64_t evals = 0;
-  std::uint64_t swept = propagator_->size();
 
+  // Strict improvement in canonical order: the first satellite at the
+  // highest elevation wins, as in the exact scan.
   std::optional<VisibleSat> best;
-  if (propagator_->model() == OrbitModel::walker) {
-    swept = walker_cone_sweep(
-        shells_, gx, gy, gz, t_sec,
-        [&](std::size_t s) { return walker_cos_gate(shells_[s].altitude_km, e_min); },
-        [&](std::size_t s, std::size_t p, std::size_t i) {
-          ++evals;
-          const SatId id{s, p, i};
-          const geo::GeoPoint pos = position(id, t_sec);
-          const double elev = geo::elevation_deg(ground, pos);
-          if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
-            best = VisibleSat{id, pos, elev,
-                              geo::slant_range_km(
-                                  {ground.lat_deg, ground.lon_deg, 0.0}, pos)};
-          }
-        });
-  } else {
-    const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
-    const BatchFrame& frame = sgp4.frame_at(t_sec);
-    const double gate = sgp4_cos_gate(sgp4.max_gate_altitude_km(), e_min);
-    for (std::size_t f = 0; f < frame.size(); ++f) {
-      if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
-      ++evals;
-      const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
-      const double elev = geo::elevation_deg(ground, pos);
-      if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
-        best = VisibleSat{sat_id_from_flat(f), pos, elev,
-                          geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0},
-                                              pos)};
-      }
-    }
-  }
+  const std::size_t swept = for_each_candidate(
+      ground, t_sec, min_elevation_deg, [&](const SatId& id, const geo::GeoPoint& pos) {
+        ++evals;
+        const double elev = geo::elevation_deg(ground, pos);
+        if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
+          best = VisibleSat{id, pos, elev,
+                            geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)};
+        }
+      });
   queries.add(1);
   sats_swept.add(swept);
   exact_evals.add(evals);

@@ -5,7 +5,8 @@
 // default — bit-identical to the historical arithmetic) or SGP4/SDP4
 // perturbed propagation (synthetic elements from Walker geometry, or a
 // real TLE catalog). Visibility queries prefilter with a central-angle
-// cone either way, so the whole constellation can be swept per query.
+// cone: per orbital plane for Walker and synthetic SGP4 shells, over a
+// full frame for TLE catalogs and deep-space shells.
 #pragma once
 
 #include <cstddef>
@@ -88,6 +89,13 @@ class Constellation {
 
  private:
   Constellation(std::vector<Shell> shells, std::shared_ptr<const Propagator> prop);
+
+  /// Calls on_candidate(id, position) for a superset of the satellites
+  /// above the mask, in canonical order, with the exact position; returns
+  /// how many satellites the prefilter tested.
+  template <typename Fn>
+  std::size_t for_each_candidate(const geo::GeoPoint& ground, double t_sec,
+                                 double min_elevation_deg, Fn&& on_candidate) const;
 
   std::vector<Shell> shells_;
   std::vector<std::size_t> shell_begin_;  ///< flat-index offsets per shell

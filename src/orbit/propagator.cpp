@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -35,43 +36,6 @@ constexpr geo::GeoPoint kDecayedSentinel{0.0, 0.0, -1000.0};
 std::uint64_t next_propagator_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// geo::rad_to_deg's exact expression (same constant, same op order),
-/// inlined so the batch inner loop doesn't pay an out-of-line call per
-/// output angle. Bit-identical to the library function by construction.
-inline double to_deg_inline(double rad) { return rad * 180.0 / kPi; }
-
-/// geo::deg_to_rad's exact expression, inlined for the same reason.
-inline double to_rad_inline(double deg) { return deg * kPi / 180.0; }
-
-/// wrap_angle with the fmod bypassed for small quotients — the common
-/// case in the epoch loop, where angles sit within a few turns of
-/// [0, 2pi). Bit-identical to wrap_angle, because fmod is always exact
-/// and every shortcut below computes the same exact remainder:
-///  * [0, 2pi): fmod returns the argument unchanged.
-///  * [2pi, 4pi): the exact remainder is a - 2pi, and by Sterbenz's
-///    lemma (2pi <= a <= 2*2pi) the floating subtraction is exact.
-///  * [4pi, 8pi): 4pi is the exact double 2*kTwoPi (power-of-two
-///    multiple), a - 4pi is Sterbenz-exact there, and reducing by an
-///    exact multiple of the modulus preserves the remainder — so the
-///    result falls through to the two cases above.
-///  * [-2pi, 0): fmod returns the argument (dividend sign), and the
-///    `a + 2pi` below is the same rounded addition wrap_angle performs.
-///    Strict bound: at exactly -2pi, fmod yields -0.0 un-adjusted (the
-///    sign check sees -0.0 >= 0), which the fallback reproduces.
-/// Anything further out falls back to the real thing.
-inline double wrap_angle_fast(double a) {
-  if (a >= 0.0) {
-    if (a >= 2.0 * kTwoPi) {
-      if (a >= 4.0 * kTwoPi) return wrap_angle(a);
-      a -= 2.0 * kTwoPi;
-    }
-    if (a < kTwoPi) return a;
-    return a - kTwoPi;
-  }
-  if (a > -kTwoPi) return a + kTwoPi;
-  return wrap_angle(a);
 }
 
 }  // namespace
@@ -116,117 +80,11 @@ geo::GeoPoint walker_position(const Shell& shell, std::size_t plane, std::size_t
 }
 
 // ---------------------------------------------------------------------------
-// BatchPropagator
-// ---------------------------------------------------------------------------
-
-BatchPropagator::BatchPropagator(const std::vector<Shell>& shells) {
-  for (const Shell& shell : shells) {
-    shell_begin_.push_back(n_);
-    shell_mean_motion_.push_back(shell.mean_motion_rad_per_sec());
-    for (std::size_t p = 0; p < shell.planes; ++p) {
-      const double raan =
-          kTwoPi * static_cast<double>(p) / static_cast<double>(shell.planes);
-      for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
-        const double phase0 =
-            kTwoPi * static_cast<double>(i) / static_cast<double>(shell.sats_per_plane) +
-            kTwoPi * static_cast<double>(shell.phase_factor) * static_cast<double>(p) /
-                static_cast<double>(shell.total_sats());
-        const double inc = geo::deg_to_rad(shell.inclination_deg);
-        phase0_.push_back(phase0);
-        raan_.push_back(raan);
-        sin_inc_.push_back(std::sin(inc));
-        cos_inc_.push_back(std::cos(inc));
-        alt_km_.push_back(shell.altitude_km);
-        ++n_;
-      }
-    }
-  }
-  shell_begin_.push_back(n_);
-}
-
-BatchPropagator::BatchPropagator(const Sgp4Propagator* sgp4)
-    : n_(sgp4->size()), sgp4_(sgp4) {}
-
-void BatchPropagator::advance(double t_sec, bool unit_vectors, BatchFrame& out) const {
-  out.t_sec = t_sec;
-  out.has_unit_vectors = unit_vectors;
-  out.lat_deg.resize(n_);
-  out.lon_deg.resize(n_);
-  out.alt_km.resize(n_);
-  if (unit_vectors) {
-    out.ux.resize(n_);
-    out.uy.resize(n_);
-    out.uz.resize(n_);
-  }
-  if (sgp4_ != nullptr) {
-    // GMST depends only on the epoch, not the satellite — computed once
-    // here, per-call in the scalar path, same double either way.
-    const double gst = gstime(sgp4_->epoch_jd() + t_sec / 86400.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const geo::GeoPoint p = sgp4_->position_at_gst(i, t_sec, gst);
-      out.lat_deg[i] = p.lat_deg;
-      out.lon_deg[i] = p.lon_deg;
-      out.alt_km[i] = p.alt_km;
-    }
-  } else {
-    advance_walker(t_sec, out);
-  }
-  if (unit_vectors) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double lat = to_rad_inline(out.lat_deg[i]);
-      const double lon = to_rad_inline(out.lon_deg[i]);
-      const double clat = std::cos(lat);
-      out.ux[i] = clat * std::cos(lon);
-      out.uy[i] = clat * std::sin(lon);
-      out.uz[i] = std::sin(lat);
-    }
-  }
-}
-
-void BatchPropagator::advance_walker(double t_sec, BatchFrame& out) const {
-  // The same expressions, evaluated in the same order, as
-  // walker_position — with everything that does not depend on t hoisted
-  // into the precomputed per-satellite arrays. `motion` and `spin` are
-  // the identical products the scalar path forms per call, so every
-  // output double matches the scalar path bit for bit.
-  const double spin = kEarthRotationRadPerSec * t_sec;
-  const std::size_t n_shells = shell_mean_motion_.size();
-  const double* phase0 = phase0_.data();
-  const double* raan = raan_.data();
-  const double* sin_inc = sin_inc_.data();
-  const double* cos_inc = cos_inc_.data();
-  double* out_lat = out.lat_deg.data();
-  double* out_lon = out.lon_deg.data();
-  // Altitudes are t-independent for circular Walker orbits; one block
-  // copy keeps them out of the trig loop.
-  std::copy(alt_km_.begin(), alt_km_.end(), out.alt_km.begin());
-  for (std::size_t s = 0; s < n_shells; ++s) {
-    const double motion = shell_mean_motion_[s] * t_sec;
-    const std::size_t begin = shell_begin_[s];
-    const std::size_t end = shell_begin_[s + 1];
-    for (std::size_t i = begin; i < end; ++i) {
-      const double u = wrap_angle_fast(phase0[i] + motion);
-      const double sin_u = std::sin(u);
-      const double sin_lat = sin_inc[i] * sin_u;
-      const double lat = std::asin(std::clamp(sin_lat, -1.0, 1.0));
-      const double lon_inertial =
-          std::atan2(cos_inc[i] * sin_u, std::cos(u)) + raan[i];
-      const double lon = wrap_angle_fast(lon_inertial - spin);
-      const double lon_deg = to_deg_inline(lon);
-      // Branchless ±180 normalization: x - 0.0 == x for every double, so
-      // the untaken side is an exact no-op (same bits as the branch).
-      out_lat[i] = to_deg_inline(lat);
-      out_lon[i] = lon_deg - (lon_deg > 180.0 ? 360.0 : 0.0);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // WalkerPropagator
 // ---------------------------------------------------------------------------
 
 WalkerPropagator::WalkerPropagator(std::vector<Shell> shells)
-    : shells_(std::move(shells)), batch_(shells_) {
+    : shells_(std::move(shells)) {
   std::size_t n = 0;
   for (const Shell& s : shells_) {
     shell_begin_.push_back(n);
@@ -242,18 +100,6 @@ geo::GeoPoint WalkerPropagator::position(std::size_t sat, double t_sec) const {
   const std::size_t local = sat - shell_begin_[s];
   return walker_position(shell, local / shell.sats_per_plane,
                          local % shell.sats_per_plane, t_sec);
-}
-
-double WalkerPropagator::max_gate_altitude_km() const {
-  double m = 0;
-  for (const Shell& s : shells_) m = std::max(m, s.altitude_km);
-  return m;
-}
-
-double WalkerPropagator::max_angular_rate_rad_per_sec() const {
-  double m = 0;
-  for (const Shell& s : shells_) m = std::max(m, s.mean_motion_rad_per_sec());
-  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +128,19 @@ Sgp4Propagator::Sgp4Propagator(const std::vector<Shell>& shells) {
         epoch_offset_min_.push_back(0.0);
       }
     }
+    // Every slot of a shell shares (no, ecco, inclo), so its first
+    // satellite carries the shell's secular rates and bound.
+    const Sgp4& first = sats_[sats_.size() - shell.total_sats()];
+    const auto bound = first.secular_bound();
+    if (bound && bound->angle_rad <= kSecularGateCapRad) {
+      secular_gate_.push_back(
+          {first.mdot() + first.argpdot(), first.nodedot(), bound->angle_rad,
+           bound->radius_er * Sgp4Constants::radiusearthkm - geo::kEarthRadiusKm});
+    }
   }
+  // All shells or none: a constellation with one ungated shell scans the
+  // full frame.
+  if (secular_gate_.size() != shells.size()) secular_gate_.clear();
   epoch_jd_ = kCanonicalEpochJd;
   finalize();
 }
@@ -305,7 +163,6 @@ void Sgp4Propagator::finalize() {
   std::uint64_t h = 0x5d1f4a2b9c83e607ull;
   hash_mix(h, sats_.size());
   max_gate_alt_km_ = 0;
-  max_rate_rad_s_ = 0;
   for (std::size_t i = 0; i < sats_.size(); ++i) {
     const Sgp4& s = sats_[i];
     hash_mix(h, bits(s.epoch_jd()));
@@ -314,18 +171,12 @@ void Sgp4Propagator::finalize() {
     hash_mix(h, bits(epoch_offset_min_[i]));
     max_gate_alt_km_ =
         std::max(max_gate_alt_km_, s.gate_apogee_alt_km(geo::kEarthRadiusKm));
-    // True-anomaly rate peaks at perigee: n * sqrt(1-e^2) / (1-e)^2.
-    const double e = std::min(s.ecco(), 0.99);
-    const double perigee_rate = (s.no_unkozai() / 60.0) * std::sqrt(1.0 - e * e) /
-                                ((1.0 - e) * (1.0 - e));
-    max_rate_rad_s_ = std::max(max_rate_rad_s_, perigee_rate);
   }
   for (const Tle& t : tles_) {
     hash_mix(h, t.satnum);
     hash_mix(h, bits(t.bstar));
   }
   ephemeris_hash_ = h == 0 ? 1 : h;
-  batch_ = std::make_unique<BatchPropagator>(this);
 }
 
 geo::GeoPoint Sgp4Propagator::position(std::size_t sat, double t_sec) const {
@@ -374,12 +225,32 @@ FrameSlot& frame_slot(std::uint64_t id) {
 const BatchFrame& Sgp4Propagator::frame_at(double t_sec) const {
   FrameSlot& slot = frame_slot(id_);
   const std::uint64_t key = bits(t_sec);
-  if (!slot.valid || slot.t_bits != key) {
-    batch_->advance(t_sec, /*unit_vectors=*/true, slot.frame);
-    slot.t_bits = key;
-    slot.valid = true;
+  if (slot.valid && slot.t_bits == key) return slot.frame;
+  BatchFrame& f = slot.frame;
+  const std::size_t n = sats_.size();
+  f.lat_deg.resize(n);
+  f.lon_deg.resize(n);
+  f.alt_km.resize(n);
+  f.ux.resize(n);
+  f.uy.resize(n);
+  f.uz.resize(n);
+  // GMST depends only on the instant; position() computes the same double
+  // per call.
+  const double gst = gstime(epoch_jd_ + t_sec / 86400.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::GeoPoint p = position_at_gst(i, t_sec, gst);
+    f.lat_deg[i] = p.lat_deg;
+    f.lon_deg[i] = p.lon_deg;
+    f.alt_km[i] = p.alt_km;
+    const double lat = geo::deg_to_rad(p.lat_deg);
+    const double lon = geo::deg_to_rad(p.lon_deg);
+    f.ux[i] = std::cos(lat) * std::cos(lon);
+    f.uy[i] = std::cos(lat) * std::sin(lon);
+    f.uz[i] = std::sin(lat);
   }
-  return slot.frame;
+  slot.t_bits = key;
+  slot.valid = true;
+  return f;
 }
 
 }  // namespace satnet::orbit

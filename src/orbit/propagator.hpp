@@ -1,26 +1,17 @@
 // Propagator interface: Walker-circular and SGP4 ephemeris backends,
-// plus the structure-of-arrays batch kernel.
+// plus the per-plane window sweep both models gate visibility with.
 //
 // The closed-form Walker mode is the fast exact default and stays
 // bit-identical to the historical Constellation::position arithmetic
-// (walker_position below IS that arithmetic, shared so the scalar and
-// batch paths cannot drift). The SGP4 mode runs the perturbed
-// propagation from sgp4.hpp per satellite, either from a real TLE
-// catalog or from synthetic elements derived from Walker shell
+// (walker_position below IS that arithmetic). The SGP4 mode runs the
+// perturbed propagation from sgp4.hpp per satellite, either from a real
+// TLE catalog or from synthetic elements derived from Walker shell
 // geometry.
-//
-// BatchPropagator advances the whole constellation per epoch in one
-// pass over contiguous per-satellite arrays (precomputed constants,
-// vectorizable inner loop). Its geodetic outputs are bit-identical to
-// the scalar position() path per satellite — the batch is a throughput
-// optimization, never a value change — so best_visible/access_index/
-// timeline can consume frames through the same cone-prefilter path.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -39,60 +30,22 @@ std::optional<OrbitModel> parse_orbit_model(std::string_view s);
 
 /// Closed-form circular Walker ephemeris for one satellite slot. This is
 /// the exact arithmetic (op for op) the repo has always used for
-/// Constellation::position; every Walker-mode consumer — scalar, batch,
-/// timeline replay — funnels through it so positions agree bit for bit.
+/// Constellation::position; every Walker-mode consumer — sweep, timeline
+/// replay — funnels through it so positions agree bit for bit.
 geo::GeoPoint walker_position(const Shell& shell, std::size_t plane, std::size_t index,
                               double t_sec);
 
-/// One batch-propagated epoch: geodetic position per satellite in
-/// canonical (shell, plane, index) order, plus optional ECEF unit
-/// vectors for cone gating. Reused across advance() calls so the
-/// steady-state epoch loop does no allocation.
+/// Every satellite's position at one instant, in canonical (shell,
+/// plane, index) order, plus ECEF unit vectors for cone gating.
 struct BatchFrame {
-  double t_sec = 0;
-  bool has_unit_vectors = false;
   std::vector<double> lat_deg, lon_deg, alt_km;
   std::vector<double> ux, uy, uz;
 
   std::size_t size() const { return lat_deg.size(); }
 };
 
-class Sgp4Propagator;
-
-/// The SoA batch kernel. Construction precomputes every per-satellite
-/// constant the scalar path re-derives per call (plane RAAN, phase
-/// angle, inclination trig, mean motion — or the full sgp4init state);
-/// advance() then runs one contiguous pass per epoch.
-class BatchPropagator {
- public:
-  /// Walker-circular batch over the given shells.
-  explicit BatchPropagator(const std::vector<Shell>& shells);
-  /// SGP4 batch over an initialized catalog (non-owning; the
-  /// Sgp4Propagator that owns the states also owns this kernel).
-  explicit BatchPropagator(const Sgp4Propagator* sgp4);
-
-  std::size_t size() const { return n_; }
-
-  /// Fills `out` with every satellite's position at t. Geodetic values
-  /// are bit-identical to the scalar position() path. Unit vectors are
-  /// derived from the geodetic angles when requested.
-  void advance(double t_sec, bool unit_vectors, BatchFrame& out) const;
-
- private:
-  void advance_walker(double t_sec, BatchFrame& out) const;
-
-  std::size_t n_ = 0;
-  const Sgp4Propagator* sgp4_ = nullptr;  ///< null in Walker mode
-  // Walker per-satellite constants (canonical order, contiguous).
-  std::vector<double> phase0_, raan_, sin_inc_, cos_inc_, alt_km_;
-  // Walker per-shell constants + [start, end) satellite ranges.
-  std::vector<double> shell_mean_motion_;
-  std::vector<std::size_t> shell_begin_;
-};
-
-/// Abstract ephemeris backend: scalar per-satellite queries plus the
-/// batch kernel, with the conservative bounds the visibility cone
-/// prefilter needs. Satellites are addressed by flat canonical index.
+/// Abstract ephemeris backend. Satellites are addressed by flat
+/// canonical index.
 class Propagator {
  public:
   virtual ~Propagator() = default;
@@ -103,22 +56,10 @@ class Propagator {
   /// Geodetic position of satellite `sat` at simulation time t.
   virtual geo::GeoPoint position(std::size_t sat, double t_sec) const = 0;
 
-  /// The batch kernel over this backend's satellites.
-  virtual const BatchPropagator& batch() const = 0;
-
   /// Stable hash of everything that determines positions (elements,
   /// epochs, model) — mixed into access identity hashes so persisted
   /// timelines can never answer for a different ephemeris.
   virtual std::uint64_t ephemeris_hash() const = 0;
-
-  /// Upper bound on any satellite's geodetic altitude (km), for the
-  /// visibility cone half-angle: higher altitude means a wider, i.e.
-  /// more permissive, gate.
-  virtual double max_gate_altitude_km() const = 0;
-
-  /// Upper bound on any satellite's ECEF angular rate (rad/s, Earth
-  /// rotation excluded), for slab-level gate widening.
-  virtual double max_angular_rate_rad_per_sec() const = 0;
 };
 
 /// The closed-form Walker backend.
@@ -127,19 +68,21 @@ class WalkerPropagator final : public Propagator {
   explicit WalkerPropagator(std::vector<Shell> shells);
 
   OrbitModel model() const override { return OrbitModel::walker; }
-  std::size_t size() const override { return batch_.size(); }
+  std::size_t size() const override { return shell_begin_.back(); }
   geo::GeoPoint position(std::size_t sat, double t_sec) const override;
-  const BatchPropagator& batch() const override { return batch_; }
   std::uint64_t ephemeris_hash() const override { return 0; }
-  double max_gate_altitude_km() const override;
-  double max_angular_rate_rad_per_sec() const override;
 
  private:
   std::vector<Shell> shells_;
   /// Flat index -> (shell, plane, index) decomposition helpers.
   std::vector<std::size_t> shell_begin_;
-  BatchPropagator batch_;
 };
+
+/// Largest secular-orbit bound (Sgp4::SecularBound::angle_rad) a
+/// synthetic shell may have and still be gated by the window sweep.
+/// Every near-Earth shell the generators build sits near 3e-3 rad; a
+/// constellation with a shell above the cap keeps the full frame.
+inline constexpr double kSecularGateCapRad = 0.01;
 
 /// The SGP4/SDP4 backend: one initialized Sgp4 state per satellite.
 class Sgp4Propagator final : public Propagator {
@@ -155,28 +98,41 @@ class Sgp4Propagator final : public Propagator {
   OrbitModel model() const override { return OrbitModel::sgp4; }
   std::size_t size() const override { return sats_.size(); }
   geo::GeoPoint position(std::size_t sat, double t_sec) const override;
-  const BatchPropagator& batch() const override { return *batch_; }
   std::uint64_t ephemeris_hash() const override { return ephemeris_hash_; }
-  double max_gate_altitude_km() const override { return max_gate_alt_km_; }
-  double max_angular_rate_rad_per_sec() const override { return max_rate_rad_s_; }
+
+  /// Upper bound on any satellite's geodetic altitude (km), for the
+  /// full-frame cone gate: higher altitude means a wider gate.
+  double max_gate_altitude_km() const { return max_gate_alt_km_; }
 
   /// The catalog (empty for synthetic-element constellations).
   const std::vector<Tle>& tles() const { return tles_; }
   /// Julian date mapped to simulation t=0.
   double epoch_jd() const { return epoch_jd_; }
 
-  /// Batch frame at t with unit vectors, memoized per thread for the
+  /// What the window sweep needs to gate one synthetic shell on its
+  /// secular orbit (see Sgp4::secular_bound).
+  struct SecularShell {
+    double arg_lat_rate = 0;     ///< mdot + argpdot, rad/min
+    double node_rate = 0;        ///< nodedot, rad/min
+    double angle_bound_rad = 0;  ///< true vs secular direction
+    double max_alt_km = 0;       ///< altitude bound for the cone
+  };
+  /// One entry per shell when the whole constellation can be gated:
+  /// synthetic elements, near-Earth, every bound within
+  /// kSecularGateCapRad. Empty otherwise (TLE catalogs, deep space):
+  /// those constellations gate on the full frame.
+  const std::vector<SecularShell>& secular_gate() const { return secular_gate_; }
+
+  /// Every satellite at t with unit vectors, memoized per thread for the
   /// common many-terminals-one-epoch query pattern. The memo is a pure
-  /// cache: values always equal a fresh advance() at t.
+  /// cache: each value equals position() at t bit for bit.
   const BatchFrame& frame_at(double t_sec) const;
 
-  /// position() with the GMST precomputed by the caller — the batch
-  /// kernel hoists it per epoch; gst must equal
+  /// position() with the GMST precomputed by the caller; gst must equal
   /// gstime(epoch_jd() + t_sec / 86400) for identical output.
   geo::GeoPoint position_at_gst(std::size_t sat, double t_sec, double gst) const;
 
  private:
-  friend class BatchPropagator;
   void finalize();
 
   std::uint64_t id_ = 0;  ///< process-unique, keys the thread-local memo
@@ -186,26 +142,41 @@ class Sgp4Propagator final : public Propagator {
   double epoch_jd_ = 0;
   std::uint64_t ephemeris_hash_ = 0;
   double max_gate_alt_km_ = 0;
-  double max_rate_rad_s_ = 0;
-  std::unique_ptr<BatchPropagator> batch_;
+  std::vector<SecularShell> secular_gate_;
 };
 
-/// Slack of the Walker window gate, in both of its domains: subtracted
-/// from the cos gate and added to the window half-angle. It absorbs the
-/// rounding of the plane-rotation recurrence and of the window
-/// arithmetic (all far below 1e-9 rad, even at t ~ 1e8 s), so the
-/// window never drops a slot the exact elevation test would accept.
+/// Slack of the window gate, in both of its domains: subtracted from the
+/// cos gate and added to the window half-angle. It absorbs the rounding
+/// of the plane-rotation recurrence and of the window arithmetic (all far
+/// below 1e-9 rad, even at t ~ 1e8 s), so the window never drops a slot
+/// the exact elevation test would accept.
 inline constexpr double kWalkerWindowMarginRad = 1e-6;
 
-/// Shared cone-prefilter sweep over Walker shells. Invokes
-/// `on_candidate(s, p, i)` for a superset of the slots whose ECEF
-/// direction lies within the cone cos(theta) >= cos_cone_for_shell(s)
-/// of the ground unit vector g, in canonical (shell, plane, index) order,
-/// and returns how many slots it emitted.
+/// Where one shell's slots are at the instant being swept. Slot (p, i)
+/// has argument of latitude phase0(p, i) + along_track on a circle of
+/// the shell's inclination whose ECEF node is 2 pi p / planes -
+/// earth_angle.
+struct ShellSweep {
+  double cos_gate = 0;     ///< cos of the cone half-angle to emit within
+  double along_track = 0;  ///< argument-of-latitude advance since t=0, rad
+  double earth_angle = 0;  ///< Earth rotation minus node drift since t=0, rad
+};
+
+/// Shared cone-prefilter sweep over Walker slots. Invokes
+/// `on_candidate(s, p, i)` for a superset of the slots whose direction
+/// lies within the cone cos(theta) >= sweep_for_shell(s).cos_gate of the
+/// ground unit vector g, in canonical (shell, plane, index) order, and
+/// returns how many slots it emitted.
+///
+/// Walker shells pass the exact circular motion (mean motion times t,
+/// Earth rotation times t). Synthetic SGP4 shells pass their secular
+/// motion and widen the cone by the bound on how far SGP4 strays from it
+/// (Sgp4::secular_bound), so the emitted slots still cover every
+/// satellite the exact test accepts.
 ///
 /// Per-plane window: in plane p the slot direction is
 /// pos(u) = cos u * a + sin u * b with a = (cos phi, sin phi, 0),
-/// b = (-cos i sin phi, cos i cos phi, sin i), phi = RAAN - earth spin,
+/// b = (-cos i sin phi, cos i cos phi, sin i), phi = node - earth_angle,
 /// so g . pos(u) = R cos(u - u*) with R = |(g.a, g.b)| and
 /// u* = atan2(g.b, g.a). A plane with R < gate - margin has no slot in
 /// the cone and is skipped; otherwise the cone is exactly the arc
@@ -221,9 +192,9 @@ inline constexpr double kWalkerWindowMarginRad = 1e-6;
 /// the result equals an exact scan of every slot bit for bit — the
 /// window is purely a prefilter. best_visible and visible share it so
 /// their prefilters cannot diverge.
-template <typename GateFn, typename CandidateFn>
+template <typename SweepFn, typename CandidateFn>
 std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy,
-                              double gz, double t_sec, GateFn&& cos_cone_for_shell,
+                              double gz, SweepFn&& sweep_for_shell,
                               CandidateFn&& on_candidate) {
   constexpr double kPi = 3.14159265358979323846;
   constexpr double kTwoPi = 2.0 * kPi;
@@ -231,22 +202,21 @@ std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, doubl
   std::size_t emitted = 0;
   for (std::size_t s = 0; s < shells.size(); ++s) {
     const Shell& shell = shells[s];
-    const double gate = cos_cone_for_shell(s) - kMargin;
+    const ShellSweep sweep = sweep_for_shell(s);
+    const double gate = sweep.cos_gate - kMargin;
     const double inc = geo::deg_to_rad(shell.inclination_deg);
     const double sin_i = std::sin(inc);
     const double cos_i = std::cos(inc);
     const std::size_t n = shell.sats_per_plane;
     const double du = kTwoPi / static_cast<double>(n);
-    const double motion = shell.mean_motion_rad_per_sec() * t_sec;
     const double phase_step = kTwoPi * static_cast<double>(shell.phase_factor) /
                               static_cast<double>(shell.total_sats());
-    // phi_p = 2 pi p / planes - spin, advanced by one rotation per plane.
-    const double spin = kEarthRotationRadPerSec * t_sec;
+    // phi_p = 2 pi p / planes - earth_angle, advanced by one rotation per plane.
     const double dphi = kTwoPi / static_cast<double>(shell.planes);
     const double cos_dphi = std::cos(dphi);
     const double sin_dphi = std::sin(dphi);
-    double cos_phi = std::cos(spin);
-    double sin_phi = -std::sin(spin);
+    double cos_phi = std::cos(sweep.earth_angle);
+    double sin_phi = -std::sin(sweep.earth_angle);
     for (std::size_t p = 0; p < shell.planes; ++p) {
       const double ga = gx * cos_phi + gy * sin_phi;
       const double gb = cos_i * (gy * cos_phi - gx * sin_phi) + gz * sin_i;
@@ -260,7 +230,8 @@ std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, doubl
           std::acos(r > 0.0 ? std::clamp(gate / r, -1.0, 1.0) : -1.0) + kMargin;
       // Window centre relative to slot 0's argument of latitude, in [0, 2pi).
       double centre = std::fmod(
-          std::atan2(gb, ga) - (phase_step * static_cast<double>(p) + motion), kTwoPi);
+          std::atan2(gb, ga) - (phase_step * static_cast<double>(p) + sweep.along_track),
+          kTwoPi);
       if (centre < 0.0) centre += kTwoPi;
       const auto k_lo = static_cast<long long>(std::ceil((centre - half) / du));
       const auto k_hi = static_cast<long long>(std::floor((centre + half) / du));

@@ -1094,4 +1094,46 @@ double Sgp4::gate_apogee_alt_km(double spherical_earth_radius_km) const {
   return apogee_radius_km - spherical_earth_radius_km + 25.0;
 }
 
+std::optional<Sgp4::SecularBound> Sgp4::secular_bound() const {
+  // With bstar = 0 every drag coefficient propagate() reads (cc1, the
+  // bstar * cc4/cc5 products, omgcof, xmcof, nodecf, d2..d4, t2cof..t5cof)
+  // is zero, so it runs on am = a_, em = max(ecco, 1e-6) and the secular
+  // angles. Three groups of periodic terms move the satellite off the
+  // secular circle, none of them growing with t:
+  if (bstar_ != 0.0 || method_ == 'd') return std::nullopt;
+  using C = Sgp4Constants;
+  const double e = std::max(ecco_, 1.0e-6);
+  const double p0 = a_ * (1.0 - e * e);
+  // (1) Long-period: Kepler's equation is solved with the eccentricity
+  //     vector (axnl, aynl) = e (cos w, sin w) + (0, aycof / p0), whose
+  //     length is at most el; the mean longitude gains xlcof axnl / p0.
+  const double el = e + std::fabs(aycof_) / p0;
+  if (el >= 0.5) return std::nullopt;
+  const double long_period = std::fabs(xlcof_) * e / p0;
+  // (2) Equation of centre for eccentricity el: |E - M| <= el, and
+  //     nu - E = 2 atan(beta sin E / (1 - beta cos E)) with
+  //     beta = el / (1 + sqrt(1 - el^2)) is at most 2 asin(beta).
+  const double beta = el / (1.0 + std::sqrt(1.0 - el * el));
+  const double centre = el + 2.0 * std::asin(beta);
+  // (3) Short-period: su, xnode and xinc move by 0.25 temp2 x7thm1,
+  //     1.5 temp2 cos i and 1.5 temp2 cos i sin i at most, with
+  //     temp1 = j2 / (2 pl), temp2 = temp1 / pl, pl >= a (1 - el^2).
+  const double pl = a_ * (1.0 - el * el);
+  const double temp1 = 0.5 * C::j2 / pl;
+  const double temp2 = temp1 / pl;
+  const double cosio = std::cos(inclo_);
+  const double sinio = std::sin(inclo_);
+  const double short_period = temp2 * (0.25 * std::fabs(x7thm1_) + 1.5 * std::fabs(cosio) +
+                                       1.5 * std::fabs(cosio * sinio));
+  // The direction R_z(node) R_x(inc) (cos u, sin u, 0) moves by at most
+  // |du| + |dnode| + |dinc| (each a rotation by that angle), so the
+  // bounds add. The radius is rl (1 - 1.5 temp2 betal con41) +
+  // 0.5 temp1 x1mth2 cos 2u with rl = am (1 - ecose) <= a (1 + el).
+  SecularBound b;
+  b.angle_rad = long_period + centre + short_period;
+  b.radius_er = a_ * (1.0 + el) * (1.0 + 1.5 * temp2 * std::fabs(con41_)) +
+                0.5 * temp1 * std::fabs(x1mth2_);
+  return b;
+}
+
 }  // namespace satnet::orbit

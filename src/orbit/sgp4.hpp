@@ -122,6 +122,25 @@ class Sgp4 {
   /// altitude the satellite can reach.
   double gate_apogee_alt_km(double spherical_earth_radius_km) const;
 
+  /// Secular rates set at init, rad/min: mean anomaly, argument of
+  /// perigee, node.
+  double mdot() const { return mdot_; }
+  double argpdot() const { return argpdot_; }
+  double nodedot() const { return nodedot_; }
+
+  /// How far propagate() strays from the secular orbit: the circle with
+  /// argument of latitude mo + argpo + (mdot + argpdot) t, node
+  /// nodeo + nodedot t and inclination inclo.
+  struct SecularBound {
+    double angle_rad = 0;  ///< propagated vs secular direction, any t
+    double radius_er = 0;  ///< propagated radius, earth radii
+  };
+  /// The bound for a drag-free near-Earth satellite (bstar = 0, period
+  /// < 225 min), where only bounded periodic terms separate the two
+  /// (derivation in sgp4.cpp). nullopt otherwise: drag and the deep-space
+  /// terms grow with t.
+  std::optional<SecularBound> secular_bound() const;
+
  private:
   void init_near_earth(double epoch1950);
   void init_deep_space(double epoch1950);

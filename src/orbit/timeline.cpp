@@ -129,7 +129,7 @@ double era_representative(const std::vector<double>& boundaries, std::size_t era
 }
 
 /// Era boundary list under a given hook: PoP override edges plus
-/// outage/storm window edges — the same partition AccessIndex uses.
+/// outage/storm window edges.
 std::vector<double> merged_boundaries(const std::vector<double>& static_boundaries,
                                       const fault::Hook* hook) {
   std::vector<double> out = static_boundaries;
@@ -305,7 +305,7 @@ std::uint32_t EpochTimeline::era_of(double t_sec) const {
 namespace {
 
 /// Distinct from every real hook pointer *and* nullptr, so a fresh
-/// validity cache always refreshes once (same trick as AccessIndex).
+/// validity cache always refreshes once.
 const fault::Hook* validity_sentinel() {
   static const char tag = 0;
   return reinterpret_cast<const fault::Hook*>(&tag);
@@ -642,9 +642,8 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   }
   if (missing_s.empty() && missing_m.empty() && sample_reuse) return;  // warm
 
-  // Build the missing serving decisions, each into its own slot. They
-  // route through the network (the SGP4 index applies): one exact
-  // serving evaluation per distinct key.
+  // Build the missing serving decisions, each into its own slot: one
+  // exact serving evaluation per distinct key.
   std::vector<std::uint32_t> built_s(missing_s.size(), kNoSat);
   for_each_slot(missing_s.size(), threads, [&](std::size_t i) {
     const ServingKey& k = missing_s[i];

@@ -1,8 +1,8 @@
 // Campaign-scoped epoch timeline: precompute constellation access state
 // once, replay it everywhere as pure lookups.
 //
-// PR 5's access-interval index made each geometry query cheap; the
-// timeline removes the query from the campaign hot path entirely. Every
+// The window sweep makes each geometry query cheap; the timeline
+// removes the query from the campaign hot path entirely. Every
 // campaign layer's access schedule is a pure function of its config —
 // mlab's test draws and ripe's probe rounds come from fork_stable
 // streams, so a pre-pass can replay the exact draws the shards will make
@@ -11,14 +11,13 @@
 // and access sample once, in parallel on runtime::ThreadPool with a
 // deterministic slot-per-key merge, into sorted SoA arrays; after that
 // AccessNetwork::sample() and serving_sat_at_epoch() are binary-search
-// replays. Anything not covered falls back to the PR 5 index (and
-// ultimately the exact cone-prefilter sweep), so the timeline is
-// value-transparent by construction: campaign output is byte-identical
-// with the timeline on, off (--no-timeline), or loaded from disk — the
-// golden suite pins exactly that equivalence.
+// replays. Anything not covered falls back to the exact cone-prefilter
+// sweep, so the timeline is value-transparent by construction: campaign
+// output is byte-identical with the timeline on, off (--no-timeline), or
+// loaded from disk — the golden suite pins exactly that equivalence.
 //
-// Fault-plan coherence reuses PR 5's era partitioning instead of
-// flushing: the snapshot stores the era boundaries it was built under
+// Fault-plan coherence partitions time into eras instead of flushing:
+// the snapshot stores the era boundaries it was built under
 // (PoP override edges plus fault-plan outage/storm edges) and, per era,
 // a hash of the fault events active inside it. Installing or removing a
 // plan invalidates exactly the eras whose boundary structure or active
@@ -132,7 +131,7 @@ class EpochTimeline {
   std::size_t byte_size() const;
 
   enum class ServingReplay {
-    miss,     ///< epoch not covered: caller falls back to the index
+    miss,     ///< epoch not covered: caller falls back to the sweep
     outage,   ///< covered, no visible satellite
     serving,  ///< covered, *out holds the serving satellite id
   };

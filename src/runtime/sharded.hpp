@@ -40,6 +40,7 @@
 // results never depend on it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -146,8 +147,9 @@ class ShardedCampaign {
     profile += phase_;
     obs::Counter& phase_wall_us =
         reg.counter(profile + ".wall_us", "total shard wall time for the phase");
-    obs::Counter& phase_queue_wait_us =
-        reg.counter(profile + ".queue_wait_us", "total submit-to-start queue wait");
+    obs::Counter& phase_queue_wait_us = reg.counter(
+        profile + ".queue_wait_us",
+        "total dispatch latency: start - max(submit, worker's previous shard end)");
     obs::Counter& phase_tasks =
         reg.counter(profile + ".tasks", "shard attempts profiled");
 
@@ -225,13 +227,23 @@ class ShardedCampaign {
         // satlint:allow(nondet-taint): submit_t feeds only the profile's wait_ms; guarded_shard ignores it for results
         const auto submit_t = std::chrono::steady_clock::now();
         pool.submit([i, submit_t, &guarded_shard] {
-          const double wait_ms =
-              std::chrono::duration<double, std::milli>(
-                  // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
-                  // satlint:allow(nondet-taint): wait_ms is profile telemetry; shard results are computed from (i, seed) alone
-                  std::chrono::steady_clock::now() - submit_t)
-                  .count();
+          // Queue wait is dispatch latency: from the later of the submit
+          // and this worker's previous shard end to the start. Shards
+          // queued together wait in turn, not all at once, so
+          // sum(wait) + sum(shard wall) <= threads * wall. The pool's
+          // workers live for this run only, so the thread-local end is
+          // always one of this run's shards.
+          thread_local std::chrono::steady_clock::time_point last_end{};
+          // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+          // satlint:allow(nondet-taint): start feeds only the profile's wait_ms; shard results are computed from (i, seed) alone
+          const auto start = std::chrono::steady_clock::now();
+          const double wait_ms = std::chrono::duration<double, std::milli>(
+                                     start - std::max(submit_t, last_end))
+                                     .count();
           guarded_shard(i, wait_ms);
+          // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+          // satlint:allow(nondet-taint): last_end feeds only the next shard's wait_ms; shard results never read it
+          last_end = std::chrono::steady_clock::now();
         });
       }
       pool.wait_idle();

@@ -44,6 +44,8 @@ bad_flag("--scale" "${SATNETCTL}" campaign --scale -1)
 bad_flag("--days" "${SATNETCTL}" atlas --days -3)
 bad_flag("--help" "${SATNETCTL}" campaign --help)
 bad_flag("--thread" "${SATNETCTL}" campaign --thread 2)
+# The access-index ablation flag is gone with the index.
+bad_flag("--no-access-cache" "${SATNETCTL}" campaign --no-access-cache)
 bad_flag("--recorder-ring" "${SATNETCTL}" campaign --recorder-ring abc)
 bad_flag("--retries" "${SATNETCTL}" campaign --retries 0)
 bad_flag("--orbit-model" "${SATNETCTL}" world --seed 1 --orbit-model foo)

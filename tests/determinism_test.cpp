@@ -14,7 +14,6 @@
 #include "mlab/campaign.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
 #include "snoid/pipeline.hpp"
@@ -247,37 +246,8 @@ TEST(TraceViewTest, OnePhasePairPerShardAttemptAtRingTwo) {
   }
 }
 
-TEST(DeterminismTest, AccessCacheNeverPerturbsResults) {
-  // The access-index contract mirrors the obs one: every cached value
-  // equals what the uncached computation would produce, so campaign
-  // output must be byte-identical with the cache on and off, at every
-  // thread count. (The index itself is exercised heavily here — mlab
-  // and atlas shards sample the Starlink network throughout. The epoch
-  // timeline is ablated for the whole A/B: with replay active the index
-  // never runs and the toggle would measure nothing.)
-  orbit::set_timeline_enabled(false);
-  orbit::set_access_cache_enabled(false);
-  const auto baseline = mlab::run_campaign(world(), campaign_config(1));
-  ripe::AtlasConfig acfg;
-  acfg.duration_days = 30.0;
-  acfg.round_interval_hours = 24.0;
-  acfg.threads = 1;
-  const std::uint64_t atlas_baseline = atlas_hash(ripe::run_atlas_campaign(acfg));
-  ASSERT_GT(baseline.size(), 0u);
-
-  orbit::set_access_cache_enabled(true);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const auto ds = mlab::run_campaign(world(), campaign_config(threads));
-    EXPECT_EQ(baseline.hash(), ds.hash()) << threads << " threads (cache on)";
-    acfg.threads = threads;
-    EXPECT_EQ(atlas_baseline, atlas_hash(ripe::run_atlas_campaign(acfg)))
-        << threads << " threads (cache on)";
-  }
-  orbit::set_timeline_enabled(true);
-}
-
 TEST(DeterminismTest, TimelineNeverPerturbsResults) {
-  // The epoch-timeline contract mirrors the access-cache one: every
+  // The epoch-timeline contract mirrors the obs one: every
   // replayed serving decision and sample equals what the on-demand
   // computation would produce, so campaign output must be byte-identical
   // with the timeline on and off, at every thread count — including the

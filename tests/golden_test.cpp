@@ -13,12 +13,11 @@
 // The shared run flags (io/session.hpp) apply to the whole suite, and
 // every snapshot must still match byte-for-byte under them, so
 // scripts/verify.sh --golden uses each round as an equivalence oracle:
-// --no-access-cache (index disabled, every sample takes the cone
-// sweep), --no-timeline (no replay), --timeline-in FILE (warm start
-// from a saved snapshot; --timeline-out FILE saves the one this run
-// built) and --recorder-out FILE (flight recorder on, drained to FILE
-// at exit). --threads N asserts one more thread count on top of the
-// fixed 1/2/8.
+// --no-timeline (no replay, every sample takes the cone sweep),
+// --timeline-in FILE (warm start from a saved snapshot; --timeline-out
+// FILE saves the one this run built) and --recorder-out FILE (flight
+// recorder on, drained to FILE at exit). --threads N asserts one more
+// thread count on top of the fixed 1/2/8.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,7 +33,6 @@
 #include "io/golden.hpp"
 #include "io/session.hpp"
 #include "mlab/campaign.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
 #include "snoid/pipeline.hpp"
@@ -196,27 +194,6 @@ TEST(Golden, TimelineAblationUnderFaultPlan) {
         << " threads under " << FAULTPLAN_PATH;
   }
   orbit::set_timeline_enabled(timeline_was_enabled);
-}
-
-// The access index must stay invisible in report text even while a
-// fault plan rewrites gateway availability and reconfig cadence
-// mid-campaign: outage/storm windows partition the memo key space into
-// eras instead of corrupting (or flushing) cached samples. Compares the
-// identify_snos walkthrough cache-on vs cache-off under the shipped
-// example plan at every snapshot thread count.
-TEST(Golden, AccessCacheAblationUnderFaultPlan) {
-  const bool cache_was_enabled = orbit::access_cache_enabled();
-  fault::ScopedHook scoped(fault::FaultPlan::load_file(FAULTPLAN_PATH));
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    orbit::set_access_cache_enabled(true);
-    const std::string cached = io::identify_snos_report(threads);
-    orbit::set_access_cache_enabled(false);
-    const std::string uncached = io::identify_snos_report(threads);
-    EXPECT_EQ(cached, uncached)
-        << "identify_snos diverges cache-on vs cache-off at " << threads
-        << " threads under " << FAULTPLAN_PATH;
-  }
-  orbit::set_access_cache_enabled(cache_was_enabled);
 }
 
 }  // namespace

@@ -1,17 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
-#include "fault/hook.hpp"
-#include "fault/plan.hpp"
 #include "geo/geodesy.hpp"
 #include "orbit/access.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/shell.hpp"
 
@@ -398,130 +393,6 @@ TEST(HandoffStatsTest, FinalDwellIsCensoredNotCompleted) {
   EXPECT_DOUBLE_EQ(stats.censored_dwell_sec, 30.0);
   EXPECT_DOUBLE_EQ(stats.mean_dwell_sec, 0.0);  // no *completed* dwells
   EXPECT_DOUBLE_EQ(stats.max_dwell_sec, 0.0);
-}
-
-// ---------------------------------------------------------- access index
-
-/// Bitwise equality for doubles: the access index claims byte-identical
-/// results, so tests compare representations, not tolerances.
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool same_sample(const AccessSample& a, const AccessSample& b) {
-  return a.reachable == b.reachable && same_bits(a.one_way_ms, b.one_way_ms) &&
-         same_bits(a.up_ms, b.up_ms) && same_bits(a.down_ms, b.down_ms) &&
-         same_bits(a.backhaul_ms, b.backhaul_ms) &&
-         same_bits(a.scheduling_ms, b.scheduling_ms) &&
-         a.serving_sat == b.serving_sat && a.pop_index == b.pop_index &&
-         a.gateway_index == b.gateway_index && a.handoff == b.handoff;
-}
-
-/// RAII toggle so a test cannot leak a disabled cache into later tests.
-struct ScopedCacheDisabled {
-  ScopedCacheDisabled() { set_access_cache_enabled(false); }
-  ~ScopedCacheDisabled() { set_access_cache_enabled(true); }
-};
-
-/// The index serves SGP4 constellations only, so its tests run on the
-/// SGP4 build of the same Starlink shells.
-std::shared_ptr<const Constellation> starlink_sgp4() {
-  static const auto c =
-      std::make_shared<const Constellation>(starlink_shells(), OrbitModel::sgp4);
-  return c;
-}
-
-TEST(AccessIndexTest, WalkerNetworksHaveNoIndex) {
-  EXPECT_EQ(make_starlink_access(starlink()).access_index(), nullptr);
-  EXPECT_EQ(make_geo_access("denver", -101.0).access_index(), nullptr);
-  EXPECT_NE(make_starlink_access(starlink_sgp4()).access_index(), nullptr);
-  AccessConfig cfg;
-  EXPECT_THROW(AccessIndex(cfg, starlink()), std::invalid_argument);
-}
-
-TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
-  const auto c = starlink_sgp4();
-  const auto net = make_starlink_access(c);
-  ASSERT_NE(net.access_index(), nullptr);
-  for (const double lat : {47.3, -36.9, 61.2}) {
-    for (double t = 0; t < 600.0; t += 45.0) {
-      const geo::GeoPoint user{lat, -122.3, 0};
-      const auto cands = net.access_index()->candidates_for_test(user, t);
-      const auto visible = c->visible(user, t, net.config().min_elevation_deg);
-      for (const auto& v : visible) {
-        EXPECT_TRUE(std::find(cands.begin(), cands.end(), v.id) != cands.end())
-            << "lat=" << lat << " t=" << t;
-      }
-      // The gate is tight enough to be useful, not a degenerate "all".
-      EXPECT_LT(cands.size(), c->total_sats() / 10);
-    }
-  }
-}
-
-TEST(AccessIndexTest, ServingMatchesFullSweepBitForBit) {
-  const auto c = starlink_sgp4();
-  const auto net = make_starlink_access(c);
-  const double min_elev = net.config().min_elevation_deg;
-  for (const double lat : {47.61, 21.3, -33.87}) {
-    for (const double lon : {-122.33, -157.85, 151.2}) {
-      for (double epoch = 0; epoch < 900.0; epoch += 15.0) {
-        const geo::GeoPoint user{lat, lon, 0};
-        ASSERT_NE(net.access_index(), nullptr);
-        const auto via_index = net.access_index()->serving(user, epoch);
-        const auto via_sweep = c->best_visible(user, epoch, min_elev);
-        ASSERT_EQ(via_index.has_value(), via_sweep.has_value());
-        if (!via_index) continue;
-        EXPECT_TRUE(via_index->id == via_sweep->id);
-        EXPECT_TRUE(same_bits(via_index->elevation_deg, via_sweep->elevation_deg));
-        EXPECT_TRUE(same_bits(via_index->slant_km, via_sweep->slant_km));
-        EXPECT_TRUE(same_bits(via_index->position.lat_deg, via_sweep->position.lat_deg));
-        EXPECT_TRUE(same_bits(via_index->position.lon_deg, via_sweep->position.lon_deg));
-      }
-    }
-  }
-}
-
-TEST(AccessIndexTest, SamplesByteIdenticalCacheOnAndOff) {
-  const auto net = make_starlink_access(starlink_sgp4());
-  ASSERT_NE(net.access_index(), nullptr);
-  const geo::GeoPoint user{47.61, -122.33, 0};
-  for (double t = 0; t < 1800.0; t += 7.5) {
-    const AccessSample cached = net.sample_with_handoff(user, t);
-    AccessSample uncached;
-    {
-      ScopedCacheDisabled off;
-      uncached = net.sample_with_handoff(user, t);
-    }
-    EXPECT_TRUE(same_sample(cached, uncached)) << "t=" << t;
-  }
-}
-
-TEST(AccessIndexTest, FaultWindowsPartitionErasWithoutFlushingIndex) {
-  const auto net = make_starlink_access(starlink_sgp4());
-  ASSERT_NE(net.access_index(), nullptr);
-  const geo::GeoPoint user{47.61, -122.33, 0};  // Seattle: homed to the
-                                                // gateway the plan kills
-  fault::FaultEvent outage;
-  outage.kind = fault::EventKind::gateway_outage;
-  outage.target = "seattle";
-  outage.t_start_sec = 1000.0;  // deliberately mid-epoch: [990, 1005)
-  outage.t_end_sec = 2000.0;
-  fault::ScopedHook hook(fault::FaultPlan{{outage}});
-
-  // t = 995 and t = 1002 share the same reconfiguration epoch (990) and
-  // the same serving satellite, but straddle the outage edge. The era
-  // component of the memo key splits them, so warming the memo before
-  // the outage cannot replay a dead gateway into the window.
-  const AccessSample before = net.sample(user, 995.0);
-  const AccessSample inside = net.sample(user, 1002.0);
-  ASSERT_TRUE(before.reachable);
-  ASSERT_TRUE(inside.reachable);
-  EXPECT_TRUE(*before.serving_sat == *inside.serving_sat);
-  EXPECT_NE(before.gateway_index, inside.gateway_index);
-  // And both eras must agree with the uncached computation exactly.
-  ScopedCacheDisabled off;
-  EXPECT_TRUE(same_sample(before, net.sample(user, 995.0)));
-  EXPECT_TRUE(same_sample(inside, net.sample(user, 1002.0)));
 }
 
 // ------------------------------------------------- parameterized sweeps

@@ -1,8 +1,10 @@
 // Cross-validation suite for the propagator layer: SGP4 vs published
-// reference ephemeris vectors, BatchPropagator vs scalar bit-identity,
-// TLE round-trips, the Walker window gate against an exact scan of every
-// slot, and the orbit-layer bugfix regressions (visible() cone
-// prefilter, zero-size shell validation, GEO sentinel ids).
+// reference ephemeris vectors, the full frame vs scalar bit-identity,
+// TLE round-trips, the Walker and SGP4 window gates against an exact
+// scan of every satellite, and the orbit-layer bugfix regressions
+// (visible() cone prefilter, zero-size shell validation, GEO sentinel
+// ids).
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -239,42 +241,31 @@ TEST(Sgp4Test, PropagationIsAPureFunctionOfTime) {
   }
 }
 
-// ------------------------------------------------- batch bit-identity
+// ------------------------------------------------- frame bit-identity
 
-TEST(BatchPropagatorTest, WalkerBatchMatchesScalarBitForBit) {
-  const Constellation c(starlink_shells());
-  BatchFrame frame;
-  for (const double t : {0.0, 123.5, 5400.0, 86400.0}) {
-    c.propagator().batch().advance(t, false, frame);
-    ASSERT_EQ(frame.size(), c.total_sats());
-    std::size_t f = 0;
-    for (std::size_t s = 0; s < c.shells().size(); ++s) {
-      const Shell& shell = c.shells()[s];
-      for (std::size_t p = 0; p < shell.planes; ++p) {
-        for (std::size_t i = 0; i < shell.sats_per_plane; ++i, ++f) {
-          const geo::GeoPoint pos = c.position(SatId{s, p, i}, t);
-          ASSERT_EQ(dbits(frame.lat_deg[f]), dbits(pos.lat_deg))
-              << "t=" << t << " sat=" << f;
-          ASSERT_EQ(dbits(frame.lon_deg[f]), dbits(pos.lon_deg))
-              << "t=" << t << " sat=" << f;
-          ASSERT_EQ(dbits(frame.alt_km[f]), dbits(pos.alt_km))
-              << "t=" << t << " sat=" << f;
-        }
+TEST(Sgp4FrameTest, FrameAtMatchesScalarBitForBit) {
+  // The full frame (TLE catalogs, deep space) must hold exactly the
+  // doubles position() returns: a near-Earth and a deep-space catalog
+  // member, and a synthetic shell.
+  std::string err;
+  auto cat = parse_tle_catalog(
+      kStr3NearL1 + "\n" + kStr3NearL2 + "\n" + kStr3DeepL1 + "\n" + kStr3DeepL2 + "\n",
+      &err);
+  ASSERT_TRUE(cat.has_value()) << err;
+  const Constellation tle = Constellation::from_tles(std::move(*cat));
+  const Constellation synthetic({starlink_shell1()}, OrbitModel::sgp4);
+  for (const Constellation* c : {&tle, &synthetic}) {
+    const auto& prop = static_cast<const Sgp4Propagator&>(c->propagator());
+    for (const double t : {0.0, 900.0, 86400.0}) {
+      const BatchFrame& frame = prop.frame_at(t);
+      ASSERT_EQ(frame.size(), c->total_sats());
+      for (std::size_t f = 0; f < frame.size(); ++f) {
+        const geo::GeoPoint pos = prop.position(f, t);
+        ASSERT_EQ(dbits(frame.lat_deg[f]), dbits(pos.lat_deg)) << "t=" << t << " sat=" << f;
+        ASSERT_EQ(dbits(frame.lon_deg[f]), dbits(pos.lon_deg)) << "t=" << t << " sat=" << f;
+        ASSERT_EQ(dbits(frame.alt_km[f]), dbits(pos.alt_km)) << "t=" << t << " sat=" << f;
       }
     }
-  }
-}
-
-TEST(BatchPropagatorTest, Sgp4BatchMatchesScalarBitForBit) {
-  const Constellation c({starlink_shell1()}, OrbitModel::sgp4);
-  BatchFrame frame;
-  c.propagator().batch().advance(900.0, true, frame);
-  ASSERT_EQ(frame.size(), c.total_sats());
-  for (std::size_t f = 0; f < frame.size(); ++f) {
-    const geo::GeoPoint pos = c.propagator().position(f, 900.0);
-    ASSERT_EQ(dbits(frame.lat_deg[f]), dbits(pos.lat_deg)) << "sat=" << f;
-    ASSERT_EQ(dbits(frame.lon_deg[f]), dbits(pos.lon_deg)) << "sat=" << f;
-    ASSERT_EQ(dbits(frame.alt_km[f]), dbits(pos.alt_km)) << "sat=" << f;
   }
 }
 
@@ -391,7 +382,7 @@ TEST(VisibleRegressionTest, ConePrefilterIsBitIdenticalToNaiveSweep) {
   }
 }
 
-// ------------------------------------------------ walker window gate
+// ------------------------------------------------------- window gates
 
 /// Shells covering the window's corner cases: near-equatorial (0.1 deg),
 /// mid (53 deg) and retrograde polar (97.6 deg) inclinations, a single
@@ -407,22 +398,57 @@ std::vector<Shell> window_shells() {
   };
 }
 
-/// The definition both prefilters must reproduce: every slot through
-/// walker_position + elevation_deg, in canonical order.
-std::vector<VisibleSat> exact_scan(const Constellation& c, const geo::GeoPoint& ground,
-                                   double t, double mask) {
-  std::vector<VisibleSat> out;
+/// The same corner cases for the SGP4 secular gate, at 500 and 1200 km,
+/// plus a nearly equatorial retrograde shell (179.9 deg), where SGP4's
+/// long-period xlcof term peaks.
+std::vector<Shell> sgp4_window_shells() {
+  return {
+      Shell{"equatorial", 500.0, 0.1, 6, 8, 3},
+      Shell{"mid", 500.0, 53.0, 12, 10, 5},
+      Shell{"polar", 1200.0, 97.6, 6, 12, 1},
+      Shell{"retrograde", 1200.0, 179.9, 4, 6, 1},
+      Shell{"one-plane", 1200.0, 53.0, 1, 2, 0},
+      Shell{"single-slots", 500.0, 97.6, 3, 1, 1},
+      Shell{"lone", 500.0, 179.9, 1, 1, 0},
+  };
+}
+
+/// The satellite's exact ephemeris: walker_position for Walker shells,
+/// SGP4 through position() otherwise.
+geo::GeoPoint exact_position(const Constellation& c, const SatId& id, double t) {
+  if (c.model() == OrbitModel::walker) {
+    return walker_position(c.shells()[id.shell], id.plane, id.index, t);
+  }
+  return c.position(id, t);
+}
+
+/// Every satellite of the constellation in canonical order (a TLE
+/// catalog is one shell {0, 0, i}).
+std::vector<SatId> all_sats(const Constellation& c) {
+  std::vector<SatId> ids;
+  if (c.shells().empty()) {
+    for (std::size_t i = 0; i < c.total_sats(); ++i) ids.push_back(SatId{0, 0, i});
+  }
   for (std::size_t s = 0; s < c.shells().size(); ++s) {
     const Shell& shell = c.shells()[s];
     for (std::size_t p = 0; p < shell.planes; ++p) {
-      for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
-        const geo::GeoPoint pos = walker_position(shell, p, i, t);
-        const double elev = geo::elevation_deg(ground, pos);
-        if (elev >= mask) {
-          out.push_back({SatId{s, p, i}, pos, elev,
-                         geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)});
-        }
-      }
+      for (std::size_t i = 0; i < shell.sats_per_plane; ++i) ids.push_back(SatId{s, p, i});
+    }
+  }
+  return ids;
+}
+
+/// The definition every prefilter must reproduce: every satellite
+/// through its exact ephemeris + elevation_deg, in canonical order.
+std::vector<VisibleSat> exact_scan(const Constellation& c, const geo::GeoPoint& ground,
+                                   double t, double mask) {
+  std::vector<VisibleSat> out;
+  for (const SatId& id : all_sats(c)) {
+    const geo::GeoPoint pos = exact_position(c, id, t);
+    const double elev = geo::elevation_deg(ground, pos);
+    if (elev >= mask) {
+      out.push_back({id, pos, elev,
+                     geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)});
     }
   }
   return out;
@@ -466,8 +492,9 @@ bool matches_exact_scan(const Constellation& c, const geo::GeoPoint& ground, dou
   return true;
 }
 
-TEST(WalkerWindowTest, SpecialPointsMatchExactScan) {
-  const Constellation c(window_shells());
+/// Poles, the antimeridian, the equator and the inclination edges, from
+/// t = 0 to about a year, at masks 0 and 25 deg.
+void expect_special_points_match(const Constellation& c) {
   const double lats[] = {90.0, -90.0, 89.999, 0.0, -0.0, 1e-9, 53.0, -53.0, 82.4};
   const double lons[] = {180.0, -180.0, 179.9999, -179.9999, 0.0, 90.0, -45.5};
   const double times[] = {0.0, 7.5, 5400.0, 86400.0, 1e6, 3.2e7 - 15.0, 3.2e7};
@@ -482,38 +509,47 @@ TEST(WalkerWindowTest, SpecialPointsMatchExactScan) {
   }
 }
 
-TEST(WalkerWindowTest, RandomPointsMatchExactScan) {
-  const Constellation c(window_shells());
-  stats::Rng rng(0x77696e646f77ull);
-  for (int k = 0; k < 10000; ++k) {
-    // Uniform on the sphere, uniform in time up to ~1 year.
+/// `n` seeded points uniform on the sphere and in time up to t_max
+/// (default ~1 year).
+void expect_random_points_match(const Constellation& c, std::uint64_t seed, int n,
+                                double t_max = 3.2e7) {
+  stats::Rng rng(seed);
+  for (int k = 0; k < n; ++k) {
     const double lat = geo::rad_to_deg(std::asin(rng.uniform(-1.0, 1.0)));
     const double lon = rng.uniform(-180.0, 180.0);
-    const double t = rng.uniform(0.0, 3.2e7);
+    const double t = rng.uniform(0.0, t_max);
     const double mask = (k % 2 == 0) ? 0.0 : 25.0;
     ASSERT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, t, mask)) << "k=" << k;
   }
 }
 
-TEST(WalkerWindowTest, ConeBoundaryPointsMatchExactScan) {
-  // Ground points placed on the edge of a satellite's visibility cone,
-  // bisected to the last representable step on the visible side: the
-  // exact test accepts that satellite at elevation == mask to within
-  // rounding, so a window that drops its margin misses some of them.
-  const Constellation c(window_shells());
-  stats::Rng rng(0x65646765ull);
-  for (int k = 0; k < 1500; ++k) {
-    const std::size_t s = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(c.shells().size()) - 1));
-    const Shell& shell = c.shells()[s];
-    const std::size_t p = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(shell.planes) - 1));
-    const std::size_t i = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(shell.sats_per_plane) - 1));
-    const double t = rng.uniform(0.0, 3.2e7);
+/// Ground points placed on the edge of a satellite's visibility cone,
+/// bisected to the last representable step on the visible side: the
+/// exact test accepts that satellite at elevation == mask to within
+/// rounding, so a window that drops its margin misses some of them.
+void expect_cone_boundary_points_match(const Constellation& c, std::uint64_t seed, int n,
+                                       double t_max = 3.2e7) {
+  stats::Rng rng(seed);
+  const auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  for (int k = 0; k < n; ++k) {
+    // Shell, plane and slot drawn in turn, so small shells get as many
+    // points as large ones.
+    SatId id{0, 0, 0};
+    if (c.shells().empty()) {
+      id.index = pick(c.total_sats());
+    } else {
+      id.shell = pick(c.shells().size());
+      id.plane = pick(c.shells()[id.shell].planes);
+      id.index = pick(c.shells()[id.shell].sats_per_plane);
+    }
+    const double t = rng.uniform(0.0, t_max);
     const double mask = (k % 2 == 0) ? 0.0 : 25.0;
     const double bearing = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
-    const geo::GeoPoint sat = walker_position(shell, p, i, t);
+    const geo::GeoPoint sat = exact_position(c, id, t);
+    if (sat.alt_km < 0.0) continue;  // decayed: parked below ground, no cone
     const double lat1 = geo::deg_to_rad(sat.lat_deg);
     const double lon1 = geo::deg_to_rad(sat.lon_deg);
     const auto ground_at = [&](double delta) {
@@ -538,23 +574,149 @@ TEST(WalkerWindowTest, ConeBoundaryPointsMatchExactScan) {
   }
 }
 
-TEST(WalkerWindowTest, StarlinkMatchesExactScanAndSweepsOnlyTheWindow) {
-  const Constellation c(starlink_shells());
+const auto& sgp4_of(const Constellation& c) {
+  return static_cast<const Sgp4Propagator&>(c.propagator());
+}
+
+/// best_visible's sats_swept per query over `n` seeded Starlink-band
+/// points, each also checked against the exact scan.
+double swept_per_query(const Constellation& c, std::uint64_t seed, int n) {
   auto& reg = obs::MetricsRegistry::global();
-  stats::Rng rng(0x73746172ull);
+  stats::Rng rng(seed);
   const std::uint64_t queries0 = reg.counter("orbit.best_visible.queries").value();
   const std::uint64_t swept0 = reg.counter("orbit.best_visible.sats_swept").value();
-  for (int k = 0; k < 300; ++k) {
+  for (int k = 0; k < n; ++k) {
     const double lat = rng.uniform(-60.0, 60.0);
     const double lon = rng.uniform(-180.0, 180.0);
-    ASSERT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, rng.uniform(0.0, 3.2e7), 25.0));
+    EXPECT_TRUE(matches_exact_scan(c, {lat, lon, 0.0}, rng.uniform(0.0, 3.2e7), 25.0));
   }
-  // best_visible counts the slots the windows emitted, not the fleet.
   const std::uint64_t queries = reg.counter("orbit.best_visible.queries").value() - queries0;
   const std::uint64_t swept = reg.counter("orbit.best_visible.sats_swept").value() - swept0;
-  ASSERT_EQ(queries, 300u);
-  EXPECT_GT(swept, 0u);
-  EXPECT_LT(swept, queries * c.total_sats() / 20);
+  EXPECT_EQ(queries, static_cast<std::uint64_t>(n));
+  return static_cast<double>(swept) / static_cast<double>(queries);
+}
+
+TEST(WalkerWindowTest, SpecialPointsMatchExactScan) {
+  expect_special_points_match(Constellation(window_shells()));
+}
+
+TEST(WalkerWindowTest, RandomPointsMatchExactScan) {
+  expect_random_points_match(Constellation(window_shells()), 0x77696e646f77ull, 10000);
+}
+
+TEST(WalkerWindowTest, ConeBoundaryPointsMatchExactScan) {
+  expect_cone_boundary_points_match(Constellation(window_shells()), 0x65646765ull, 1500);
+}
+
+TEST(WalkerWindowTest, StarlinkMatchesExactScanAndSweepsOnlyTheWindow) {
+  // best_visible counts the slots the windows emitted, not the fleet.
+  const Constellation c(starlink_shells());
+  const double swept = swept_per_query(c, 0x73746172ull, 300);
+  EXPECT_GT(swept, 0.0);
+  EXPECT_LT(swept, static_cast<double>(c.total_sats()) / 20.0);
+}
+
+TEST(Sgp4WindowTest, SecularBoundCoversThePropagatedOrbit) {
+  // The gate's premise, checked directly: SGP4's direction stays within
+  // secular_bound().angle_rad of the secular circle, and its radius
+  // within radius_er, for synthetic elements at any t.
+  stats::Rng rng(0x626f756eull);
+  for (const double alt : {500.0, 1200.0, 2000.0}) {
+    for (const double inc_deg : {0.1, 53.0, 97.6, 179.9}) {
+      const Shell shell{"probe", alt, inc_deg, 1, 1, 0};
+      const double inclo = geo::deg_to_rad(inc_deg);
+      const double nodeo = rng.uniform(0.0, 6.28);
+      const double mo = rng.uniform(0.0, 6.28);
+      const Sgp4 sat(2451545.0, shell.mean_motion_rad_per_sec() * 60.0, 1.0e-4, inclo, nodeo,
+                     0.0, mo, 0.0);
+      const auto bound = sat.secular_bound();
+      ASSERT_TRUE(bound.has_value());
+      EXPECT_LE(bound->angle_rad, kSecularGateCapRad);
+      double worst = 0.0;
+      for (int k = 0; k < 2000; ++k) {
+        const double t_min = rng.uniform(0.0, 3.2e7) / 60.0;
+        const auto state = sat.propagate(t_min);
+        ASSERT_TRUE(state.has_value());
+        const double u = mo + (sat.mdot() + sat.argpdot()) * t_min;
+        const double node = nodeo + sat.nodedot() * t_min;
+        const double sec[3] = {
+            std::cos(u) * std::cos(node) - std::sin(u) * std::cos(inclo) * std::sin(node),
+            std::cos(u) * std::sin(node) + std::sin(u) * std::cos(inclo) * std::cos(node),
+            std::sin(u) * std::sin(inclo)};
+        const auto& r = state->r;
+        const double rn = std::sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]);
+        const double cx = r[1] * sec[2] - r[2] * sec[1];
+        const double cy = r[2] * sec[0] - r[0] * sec[2];
+        const double cz = r[0] * sec[1] - r[1] * sec[0];
+        const double angle = std::atan2(std::sqrt(cx * cx + cy * cy + cz * cz),
+                                        r[0] * sec[0] + r[1] * sec[1] + r[2] * sec[2]);
+        worst = std::max(worst, angle);
+        EXPECT_LE(rn, bound->radius_er * Sgp4Constants::radiusearthkm);
+      }
+      EXPECT_LE(worst, bound->angle_rad) << "alt=" << alt << " inc=" << inc_deg;
+      // The bound is not vacuous: the periodic terms reach 0.68-0.91 of it
+      // at 53 and 97.6 deg. Near the equator the short-period along-track
+      // and node terms largely cancel, which the bound (a sum of
+      // magnitudes) does not credit, so there they reach 0.13-0.24.
+      EXPECT_GT(worst, 0.1 * bound->angle_rad) << "alt=" << alt << " inc=" << inc_deg;
+    }
+  }
+}
+
+TEST(Sgp4WindowTest, SyntheticShellsAreGatedAndOthersAreNot) {
+  EXPECT_EQ(sgp4_of(Constellation(sgp4_window_shells(), OrbitModel::sgp4))
+                .secular_gate()
+                .size(),
+            sgp4_window_shells().size());
+  // Deep space (period >= 225 min) keeps the full frame, for the whole
+  // constellation.
+  const Shell meo{"meo", 8000.0, 5.0, 1, 12, 0};
+  EXPECT_TRUE(
+      sgp4_of(Constellation({starlink_shell1(), meo}, OrbitModel::sgp4)).secular_gate().empty());
+  std::string err;
+  auto cat = parse_tle_catalog(kStr3NearL1 + "\n" + kStr3NearL2 + "\n", &err);
+  ASSERT_TRUE(cat.has_value()) << err;
+  EXPECT_TRUE(sgp4_of(Constellation::from_tles(std::move(*cat))).secular_gate().empty());
+}
+
+TEST(Sgp4WindowTest, SpecialPointsMatchExactScan) {
+  expect_special_points_match(Constellation(sgp4_window_shells(), OrbitModel::sgp4));
+}
+
+TEST(Sgp4WindowTest, RandomPointsMatchExactScan) {
+  expect_random_points_match(Constellation(sgp4_window_shells(), OrbitModel::sgp4),
+                             0x73677034ull, 10000);
+}
+
+TEST(Sgp4WindowTest, ConeBoundaryPointsMatchExactScan) {
+  expect_cone_boundary_points_match(Constellation(sgp4_window_shells(), OrbitModel::sgp4),
+                                    0x63676534ull, 1500);
+}
+
+TEST(Sgp4WindowTest, FullFrameFallbacksMatchExactScan) {
+  const Constellation meo({Shell{"meo", 8000.0, 5.0, 2, 10, 1}}, OrbitModel::sgp4);
+  ASSERT_TRUE(sgp4_of(meo).secular_gate().empty());
+  expect_random_points_match(meo, 0x6d656f34ull, 300);
+  std::string err;
+  auto cat = parse_tle_catalog(
+      kStr3NearL1 + "\n" + kStr3NearL2 + "\n" + kStr3DeepL1 + "\n" + kStr3DeepL2 + "\n",
+      &err);
+  ASSERT_TRUE(cat.has_value()) << err;
+  // Within a day of the catalog epoch: the drag-heavy STR#3 near-Earth
+  // case decays (and parks below ground) long before a year is out.
+  const Constellation tle = Constellation::from_tles(std::move(*cat));
+  expect_random_points_match(tle, 0x746c6534ull, 300, 86400.0);
+  expect_cone_boundary_points_match(tle, 0x746c6535ull, 100, 86400.0);
+}
+
+TEST(Sgp4WindowTest, StarlinkSweepsAboutAsFewSlotsAsWalker) {
+  // The SGP4 cone is wider only by the secular bound, so a query emits
+  // about as many slots as the Walker window.
+  const double walker = swept_per_query(Constellation(starlink_shells()), 0x73746172ull, 300);
+  const double sgp4 = swept_per_query(Constellation(starlink_shells(), OrbitModel::sgp4),
+                                      0x73746172ull, 300);
+  EXPECT_GT(walker, 0.0);
+  EXPECT_LE(sgp4, 1.5 * walker) << "sgp4 " << sgp4 << " vs walker " << walker;
 }
 
 TEST(ShellValidationTest, ZeroPlanesThrowsDiagnostic) {

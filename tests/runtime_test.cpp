@@ -2,9 +2,11 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "runtime/sharded.hpp"
@@ -107,6 +109,27 @@ TEST(ShardedCampaignTest, PhaseProfileCountsEveryShard) {
   EXPECT_EQ(tasks->value, static_cast<double>(kShards));
   EXPECT_NE(snap.find("profile.runtime.profile.test.wall_us"), nullptr);
   EXPECT_NE(snap.find("profile.runtime.profile.test.queue_wait_us"), nullptr);
+}
+
+TEST(ShardedCampaignTest, QueueWaitCountsEachWorkersWaitOnce) {
+  // Two workers, eight equal shards queued at once. A worker's next shard
+  // starts as its previous one ends, so the dispatch latency summed over
+  // the phase stays far below one shard; submit-to-start waits would sum
+  // to about 12 shard-times (0+0+1+1+2+2+3+3).
+  static constexpr double kShardMs = 250.0;
+  ShardedCampaign<int> campaign(
+      8,
+      [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(kShardMs));
+        return 0;
+      },
+      "runtime.queue_wait.test");
+  obs::Counter& wait_us =
+      obs::MetricsRegistry::global().counter("profile.runtime.queue_wait.test.queue_wait_us");
+  const std::uint64_t before = wait_us.value();
+  ASSERT_EQ(campaign.run(2).size(), 8u);
+  const double wait_ms = static_cast<double>(wait_us.value() - before) / 1000.0;
+  EXPECT_LT(wait_ms, 0.1 * kShardMs);
 }
 
 TEST(ShardedCampaignTest, ShardExceptionPropagates) {
