@@ -175,13 +175,17 @@ if [[ "$run_matrix" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== TSan: determinism + runtime + obs + fault tests under ThreadSanitizer =="
+  echo "== TSan: determinism + runtime + obs + fault + stats tests under ThreadSanitizer =="
   cmake -B build-tsan -S . -DSATNET_TSAN=ON
-  cmake --build build-tsan -j "${jobs}" --target determinism_test runtime_test obs_test fault_test
+  cmake --build build-tsan -j "${jobs}" --target determinism_test runtime_test obs_test fault_test \
+    stats_test
   ./build-tsan/tests/runtime_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/fault_test
   ./build-tsan/tests/determinism_test
+  # Shards fork one shared const Rng concurrently; fork_stable must stay
+  # a pure read.
+  ./build-tsan/tests/stats_test
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -478,16 +478,6 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     }
     out += line;
   }
-  // Derived: the cone prefilter's continuously-observable speedup claim.
-  const MetricValue* swept = snapshot.find("orbit.best_visible.sats_swept");
-  const MetricValue* exact = snapshot.find("orbit.best_visible.exact_evals");
-  if (swept && exact && exact->value > 0) {
-    std::snprintf(line, sizeof(line),
-                  "  cone prefilter: %.0f swept / %.0f exact evals "
-                  "(%.1fx reduction)\n",
-                  swept->value, exact->value, swept->value / exact->value);
-    out += line;
-  }
   // Derived: epoch-timeline replay effectiveness (PR 6's precompute
   // claim). Hit ratio only when a lookup actually happened — a build
   // with zero replays must not report a vacuous 0%.

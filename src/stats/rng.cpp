@@ -1,8 +1,67 @@
 #include "stats/rng.hpp"
 
 #include <cmath>
+#include <limits>
+#include <random>
 
 namespace satnet::stats {
+
+namespace {
+
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ull;
+
+// State word i of the seeding recurrence, from word i - 1.
+constexpr std::uint64_t seed_word(std::uint64_t prev, std::uint64_t i) {
+  return 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+}
+
+// The twisted value of word k from its old value, word k + 1, and word
+// k + m (all indices mod n). The mask replaces `(y & 1) ? a : 0`.
+constexpr std::uint64_t twist(std::uint64_t cur, std::uint64_t next, std::uint64_t far) {
+  const std::uint64_t y = (cur & kUpperMask) | (next & kLowerMask);
+  return far ^ (y >> 1) ^ (kMatrixA & (std::uint64_t{0} - (y & 1)));
+}
+
+}  // namespace
+
+void Mt19937_64::seed(result_type seed) {
+  // The first output needs seeded words 0, 1 and m; the rest of the
+  // block is seeded on demand by advance().
+  x_[0] = seed;
+  for (std::uint32_t i = 1; i <= kM; ++i) x_[i] = seed_word(x_[i - 1], i);
+  x_[0] = twist(x_[0], x_[1], x_[kM]);
+  next_ = 0;
+  ready_ = 1;
+}
+
+void Mt19937_64::advance() {
+  if (ready_ < kN) {
+    // First block: twisting word k reads seeded word k + m, so seed it
+    // now (its predecessor is still untwisted). Past k = n - m, word
+    // k + m wraps to a word twisted earlier, as in the in-place twist.
+    const std::uint32_t k = ready_++;
+    if (k + kM < kN) x_[k + kM] = seed_word(x_[k + kM - 1], k + kM);
+    x_[k] = twist(x_[k], x_[(k + 1) % kN], x_[(k + kM) % kN]);
+    return;
+  }
+  std::uint32_t k = 0;
+  for (; k < kN - kM; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+  for (; k < kN - 1; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+  x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+  next_ = 0;
+}
+
+Mt19937_64::result_type Mt19937_64::peek() const {
+  if (next_ < ready_) return temper(x_[next_]);
+  // The word advance() would twist next, computed without storing it.
+  if (ready_ == kN) return temper(twist(x_[0], x_[1], x_[kM]));
+  const std::uint32_t k = ready_;
+  const std::uint64_t far =
+      k + kM < kN ? seed_word(x_[k + kM - 1], k + kM) : x_[k + kM - kN];
+  return temper(twist(x_[k], x_[(k + 1) % kN], far));
+}
 
 std::uint64_t Rng::splitmix(std::uint64_t x) {
   // SplitMix64: turns arbitrary (possibly low-entropy) seeds into
@@ -13,24 +72,17 @@ std::uint64_t Rng::splitmix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Rng Rng::fork(std::uint64_t salt) {
-  const std::uint64_t base = engine_();
-  Rng child(0);
-  child.engine_.seed(splitmix(base ^ splitmix(salt)));
-  return child;
-}
+// A child's engine seed is splitmix(base ^ splitmix(salt)), which is
+// what the Rng(seed) constructor makes of `base ^ splitmix(salt)`.
+Rng Rng::fork(std::uint64_t salt) { return Rng(engine_() ^ splitmix(salt)); }
 
 Rng Rng::fork(std::string_view name) { return fork(hash_name(name)); }
 
 Rng Rng::fork_stable(std::uint64_t salt) const {
-  // Draw the base from a *copy* of the engine so the parent's state is
-  // untouched: any set of salts forked from the same parent state yields
-  // the same children in any order.
-  std::mt19937_64 probe = engine_;
-  const std::uint64_t base = probe();
-  Rng child(0);
-  child.engine_.seed(splitmix(base ^ splitmix(salt)));
-  return child;
+  // The base is the parent's next output, peeked without drawing it, so
+  // any set of salts forked from the same parent state yields the same
+  // children in any order.
+  return Rng(engine_.peek() ^ splitmix(salt));
 }
 
 Rng Rng::fork_stable(std::string_view name) const {
@@ -97,15 +149,26 @@ int Rng::poisson(double mean) {
 }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  // An empty list or an all-zero total leaves discrete_distribution with
-  // no valid probability mass (division by zero in normalization).
+  // An empty list or an all-zero total has no valid probability mass.
   double total = 0.0;
   for (const double w : weights) total += w;
   if (weights.empty() || total <= 0.0) {
     throw std::invalid_argument("Rng::weighted_index: no positive weight");
   }
-  std::discrete_distribution<std::size_t> dist(weights.begin(), weights.end());
-  return dist(engine_);
+  // std::discrete_distribution's algorithm, so the draws and the index
+  // are the same: fewer than two weights make no draw; otherwise one
+  // generate_canonical value p picks the first index whose cumulative
+  // sum of w[j] / total reaches p, with the last sum taken as 1.
+  const std::size_t n = weights.size();
+  if (n < 2) return 0;
+  const double p =
+      std::generate_canonical<double, std::numeric_limits<double>::digits>(engine_);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    cumulative += weights[i] / total;
+    if (cumulative >= p) return i;
+  }
+  return n - 1;
 }
 
 }  // namespace satnet::stats

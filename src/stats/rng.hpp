@@ -4,16 +4,64 @@
 // seed) so that a whole campaign is a pure function of its master seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
 namespace satnet::stats {
 
-/// Deterministic PRNG wrapper around std::mt19937_64 with the sampling
-/// helpers used across the simulators. Cheap to copy; fork() derives
+/// MT19937-64 whose output equals std::mt19937_64 word for word, for the
+/// same seed. It keeps the same 312-word state but fills the first block
+/// lazily: seed() computes only the words the first output needs and
+/// each later draw of that block seeds and twists one more word, in the
+/// in-place order of the full twist. So a stream that draws a handful
+/// of values never pays for 312 seeded words and a full twist. Later
+/// blocks use one branch-free batch twist. Satisfies
+/// UniformRandomBitGenerator, so the <random> distributions accept it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed = default_seed) { this->seed(seed); }
+
+  result_type operator()() {
+    if (next_ == ready_) advance();
+    return temper(x_[next_++]);
+  }
+
+  /// The output the next operator() call returns; a pure read, so
+  /// threads may peek one shared const engine concurrently.
+  result_type peek() const;
+
+ private:
+  static constexpr std::uint32_t kN = 312;  // state words
+  static constexpr std::uint32_t kM = 156;  // twist offset
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    return z ^ (z >> 43);
+  }
+  void seed(result_type seed);
+  /// Twists word next_, which is not yet twisted: in the first block by
+  /// seeding one more word and twisting one, after it by twisting the
+  /// whole next block.
+  void advance();
+
+  std::uint32_t next_ = 0;   // index of the next output word
+  std::uint32_t ready_ = 0;  // words [0, ready_) of the block are twisted
+  std::array<result_type, kN> x_{};
+};
+
+/// Deterministic PRNG (MT19937-64, bit-identical to std::mt19937_64)
+/// with the sampling helpers used across the simulators. Its state is
+/// 2.5 KB, so pass it by reference; fork() and fork_stable() derive
 /// independent child streams so sibling components never share state.
 class Rng {
  public:
@@ -31,7 +79,9 @@ class Rng {
   /// fork_stable calls the parent served and in what order. This is the
   /// forking discipline of the sharded campaign runtime — every shard
   /// keys its stream off a stable identity (operator name, probe id,
-  /// chunk index), never off loop position.
+  /// chunk index), never off loop position. It peeks the parent's next
+  /// output and copies no state, so shards may fork one shared const
+  /// Rng concurrently.
   Rng fork_stable(std::uint64_t salt) const;
   Rng fork_stable(std::string_view name) const;
 
@@ -54,7 +104,9 @@ class Rng {
   bool chance(double p);
   /// Poisson with the given mean.
   int poisson(double mean);
-  /// Index in [0, weights.size()) with probability proportional to weight.
+  /// Index in [0, weights.size()) with probability proportional to the
+  /// (non-negative) weight. Same draws and result as
+  /// std::discrete_distribution, without its allocations.
   std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Uniformly chosen element of a non-empty container; throws
@@ -65,11 +117,9 @@ class Rng {
     return c[static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(c.size()) - 1))];
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   static std::uint64_t splitmix(std::uint64_t x);
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace satnet::stats

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "stats/cdf.hpp"
 #include "stats/kde.hpp"
@@ -124,6 +129,158 @@ TEST(RngTest, PoissonMeanRoughlyCorrect) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.poisson(3.0);
   EXPECT_NEAR(sum / n, 3.0, 0.1);
+}
+
+// ------------------------------------------------------ MT19937-64 engine
+
+TEST(Mt19937_64Test, MatchesStdEngineAcrossBlocksWithPeeks) {
+  // Peeking before every draw covers every position of the lazy first
+  // block and the first word of each later block.
+  constexpr std::uint64_t kSeeds[] = {0, 1, 5489, ~std::uint64_t{0}, 0x5a7e11e7};
+  for (const std::uint64_t seed : kSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 4 * 312 + 7; ++i) {
+      const std::uint64_t peeked = engine.peek();
+      ASSERT_EQ(peeked, engine.peek()) << "seed " << seed << " draw " << i;
+      const std::uint64_t drawn = engine();
+      ASSERT_EQ(peeked, drawn) << "seed " << seed << " draw " << i;
+      ASSERT_EQ(drawn, reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64Test, StandardTenThousandthOutput) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 engine;
+  std::uint64_t value = 0;
+  for (int i = 0; i < 10000; ++i) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ull);
+}
+
+// Rng as it was defined on std::mt19937_64: a child's engine is seeded
+// with splitmix(base ^ splitmix(salt)), where fork draws the base from
+// the parent and fork_stable draws it from a copy of the parent.
+std::uint64_t reference_splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+struct ReferenceRng {
+  explicit ReferenceRng(std::uint64_t seed) : engine(reference_splitmix(seed)) {}
+  ReferenceRng fork(std::uint64_t salt) {
+    const std::uint64_t base = engine();
+    return ReferenceRng(base ^ reference_splitmix(salt));
+  }
+  ReferenceRng fork_stable(std::uint64_t salt) const {
+    std::mt19937_64 probe = engine;
+    return ReferenceRng(probe() ^ reference_splitmix(salt));
+  }
+  std::int64_t word() {
+    return std::uniform_int_distribution<std::int64_t>(
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max())(engine);
+  }
+  std::mt19937_64 engine;
+};
+
+// uniform_int over the whole int64 range hands back one raw engine word.
+std::int64_t word(Rng& rng) {
+  return rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max());
+}
+
+TEST(RngTest, StreamsAndForksMatchStdReference) {
+  constexpr std::uint64_t kSeeds[] = {0, 7, ~std::uint64_t{0}};
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    ReferenceRng reference(seed);
+    for (int i = 0; i < 3 * 312 + 11; ++i) {
+      const std::uint64_t salt = static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull;
+      if (i % 5 == 0) {
+        Rng child = rng.fork_stable(salt);
+        ReferenceRng child_reference = reference.fork_stable(salt);
+        for (int k = 0; k < 3; ++k) ASSERT_EQ(word(child), child_reference.word());
+      }
+      if (i % 13 == 0) {
+        Rng child = rng.fork(salt);
+        ReferenceRng child_reference = reference.fork(salt);
+        ASSERT_EQ(word(child), child_reference.word());
+      }
+      ASSERT_EQ(word(rng), reference.word()) << "seed " << seed << " draw " << i;
+    }
+    // The distributions see the same engine words, so they agree too.
+    ASSERT_EQ(rng.normal(1.0, 2.0),
+              std::normal_distribution<double>(1.0, 2.0)(reference.engine));
+  }
+}
+
+TEST(RngTest, ForkStableIsAPureReadAcrossThreads) {
+  // Shards fork one shared const Rng concurrently; every thread must see
+  // the children a serial loop sees (and ThreadSanitizer no race).
+  Rng parent(42);
+  word(parent);  // leave the parent mid-way through its first block
+  const Rng& shared = parent;
+  constexpr int kSalts = 256;
+  std::vector<std::int64_t> serial(kSalts);
+  for (int s = 0; s < kSalts; ++s) {
+    Rng child = shared.fork_stable(static_cast<std::uint64_t>(s));
+    serial[static_cast<std::size_t>(s)] = word(child);
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::int64_t>> seen(kThreads,
+                                              std::vector<std::int64_t>(kSalts));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &seen, t] {
+      for (int s = 0; s < kSalts; ++s) {
+        Rng child = shared.fork_stable(static_cast<std::uint64_t>(s));
+        seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)] = word(child);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& children : seen) EXPECT_EQ(children, serial);
+}
+
+TEST(RngTest, WeightedIndexMatchesDiscreteDistribution) {
+  std::mt19937_64 cases(0x3e1);
+  Rng rng(99);
+  ReferenceRng reference(99);
+  for (int c = 0; c < 400; ++c) {
+    std::vector<double> weights(1 + cases() % 12);
+    for (double& w : weights) {
+      w = cases() % 3 == 0 ? 0.0
+                           : std::uniform_real_distribution<double>(0.0, 5.0)(cases);
+    }
+    weights[cases() % weights.size()] = 1.0;  // at least one positive weight
+    std::discrete_distribution<std::size_t> dist(weights.begin(), weights.end());
+    for (int k = 0; k < 50; ++k) {
+      ASSERT_EQ(rng.weighted_index(weights), dist(reference.engine)) << "case " << c;
+    }
+    // The same number of draws, so the streams stay aligned.
+    ASSERT_EQ(word(rng), reference.word()) << "case " << c;
+  }
+  // A cumulative sum equal to the draw p picks its own index, as
+  // std::lower_bound does: weights {p, 1 - p} for the next p (1 - p and
+  // the total 1 are exact for p >= 0.5).
+  for (int hits = 0; hits < 8;) {
+    std::mt19937_64 probe = reference.engine;
+    const double p =
+        std::generate_canonical<double, std::numeric_limits<double>::digits>(probe);
+    if (p < 0.5) {
+      ASSERT_EQ(word(rng), reference.word());
+      continue;
+    }
+    const std::vector<double> weights{p, 1.0 - p};
+    std::discrete_distribution<std::size_t> dist(weights.begin(), weights.end());
+    ASSERT_EQ(rng.weighted_index(weights), 0u);
+    ASSERT_EQ(dist(reference.engine), 0u);
+    ++hits;
+  }
 }
 
 // ------------------------------------------------------------- summary
