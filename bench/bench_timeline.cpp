@@ -1,8 +1,7 @@
-// Tentpole bench: the campaign-scoped epoch timeline (orbit/timeline,
-// io/timeline_io). Times the M-Lab campaign in all four modes —
-// on-demand (--no-timeline oracle), cold build (precompute included),
-// warm in-memory replay, and warm mmap replay from a saved file — and
-// asserts every mode produces a byte-identical dataset.
+// The campaign-scoped epoch timeline (orbit/timeline). Times the M-Lab
+// campaign in three modes — on-demand (--no-timeline oracle), cold
+// build (precompute included) and warm in-memory replay — and asserts
+// every mode produces a byte-identical dataset.
 //
 // Two further workloads isolate what the timeline actually replaces:
 //  * the campaign's own access schedule (planned_access_queries — the
@@ -12,22 +11,18 @@
 //    transport-simulation-bound (the TCP round loop dominates; see the
 //    Amdahl row printed below), so the honest place to demand 2x is the
 //    access layer the timeline removes from the hot path.
-//  * the handoff census rehomed from the PR 5 access-cache ablation:
-//    epoch-dense serving-satellite selection, the timeline's best case.
+//  * a handoff census: epoch-dense serving-satellite selection over a
+//    terminal fleet, the timeline's best case.
 //
-// Writes BENCH_timeline.json (cwd) with every timing, the speedups, the
-// replay counters, and the saved file's size for CI trend tracking. The
-// bench drives the timeline itself, so --no-timeline / --timeline-in /
-// --timeline-out have no effect on this binary; the timeline file it
-// saves (bench_timeline.tl, cwd) is a real warm-start artifact — CI's
-// repeat job feeds it back through satnetctl --timeline-in.
+// Writes BENCH_timeline.json (cwd) with every timing, the speedups and
+// the replay counters for CI trend tracking. The bench drives the
+// timeline itself, so --no-timeline has no effect on this binary.
 #include "bench/bench_common.hpp"
 
 #include <bit>
 #include <chrono>
 #include <cstdint>
 
-#include "io/timeline_io.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
 #include "orbit/timeline.hpp"
@@ -35,8 +30,6 @@
 namespace {
 
 using namespace satnet;
-
-constexpr const char* kTimelineFile = "bench_timeline.tl";
 
 mlab::CampaignConfig campaign_config() {
   mlab::CampaignConfig cfg;
@@ -127,9 +120,8 @@ ScheduleRound run_schedule_round(const synth::World& world) {
 
 // --------------------------------------------------------------- census
 
-/// Terminal fleet spanning the Starlink service area (the PR 5 census
-/// fleet): four terminals per metro so ground cells are shared the way
-/// a real campaign shares them.
+/// Terminal fleet spanning the Starlink service area: four terminals per
+/// metro so ground cells are shared the way a real campaign shares them.
 const geo::GeoPoint kFleet[] = {
     {47.61, -122.33, 0}, {61.22, -149.90, 0}, {34.05, -118.24, 0},
     {40.71, -74.01, 0},  {29.76, -95.37, 0},  {45.50, -73.57, 0},
@@ -191,43 +183,26 @@ void die_on_divergence(const char* label, std::uint64_t expected, std::uint64_t 
 }
 
 void print_timeline_bench() {
-  bench::header("Tentpole: epoch timeline",
-                "precompute once, replay everywhere, persist for warm starts");
+  bench::header("Epoch timeline", "precompute once, replay everywhere");
 
-  // --- mlab campaign, four modes -----------------------------------
+  // --- mlab campaign, three modes ----------------------------------
   orbit::EpochTimeline::clear_installed();
   orbit::set_timeline_enabled(false);
   const CampaignRound no_tl = run_campaign_round();
 
   orbit::set_timeline_enabled(true);
   const CampaignRound cold = run_campaign_round();  // build included
-  const std::string save_err = io::save_timelines(kTimelineFile, "bench_timeline");
-  if (!save_err.empty()) std::fprintf(stderr, "warning: %s\n", save_err.c_str());
-
   const CampaignRound warm = run_campaign_round();  // snapshot installed
-
-  orbit::EpochTimeline::clear_installed();
-  io::TimelineFileInfo file_info;
-  const std::string load_err = io::load_timelines(kTimelineFile, &file_info);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "FATAL: cannot reload the timeline this bench just "
-                         "saved: %s\n", load_err.c_str());
-    std::exit(1);
-  }
-  const CampaignRound warm_mmap = run_campaign_round();
 
   die_on_divergence("mlab campaign (cold)", no_tl.hash, cold.hash);
   die_on_divergence("mlab campaign (warm)", no_tl.hash, warm.hash);
-  die_on_divergence("mlab campaign (warm mmap)", no_tl.hash, warm_mmap.hash);
 
-  const double e2e_speedup = warm_mmap.wall_ms > 0 ? no_tl.wall_ms / warm_mmap.wall_ms : 0;
+  const double e2e_speedup = warm.wall_ms > 0 ? no_tl.wall_ms / warm.wall_ms : 0;
   std::printf("  %-34s %10s %9s\n", "mlab campaign (end to end)", "wall ms", "speedup");
   std::printf("  %-34s %10.0f %8.2fx\n", "  on-demand (--no-timeline)", no_tl.wall_ms, 1.0);
   std::printf("  %-34s %10.0f %8.2fx\n", "  cold build (precompute incl.)", cold.wall_ms,
               cold.wall_ms > 0 ? no_tl.wall_ms / cold.wall_ms : 0);
   std::printf("  %-34s %10.0f %8.2fx\n", "  warm replay (in memory)", warm.wall_ms,
-              warm.wall_ms > 0 ? no_tl.wall_ms / warm.wall_ms : 0);
-  std::printf("  %-34s %10.0f %8.2fx\n", "  warm replay (mmap file)", warm_mmap.wall_ms,
               e2e_speedup);
   bench::note("end to end is transport-simulation-bound (the TCP round loop");
   bench::note("dominates), so the Amdahl ceiling caps this row well under the");
@@ -283,8 +258,6 @@ void print_timeline_bench() {
   std::printf("  outputs byte-identical across all modes: yes (asserted)\n");
   std::printf("  warm-replay speedup target >= 2x (campaign access schedule): %s\n",
               target_met ? "met" : "NOT MET");
-  std::printf("  timeline file: %zu networks, %zu bytes (%s)\n", file_info.networks,
-              file_info.bytes, kTimelineFile);
 
   std::FILE* out = std::fopen("BENCH_timeline.json", "w");
   if (out == nullptr) {
@@ -296,21 +269,19 @@ void print_timeline_bench() {
       "{\n"
       "  \"bench\": \"bench_timeline\",\n"
       "  \"mlab_campaign\": {\"no_timeline_ms\": %.1f, \"cold_ms\": %.1f, "
-      "\"warm_ms\": %.1f, \"warm_mmap_ms\": %.1f, \"warm_speedup\": %.2f, "
+      "\"warm_ms\": %.1f, \"warm_speedup\": %.2f, "
       "\"records\": %zu},\n"
       "  \"mlab_access_schedule\": {\"on_demand_ms\": %.1f, \"warm_ms\": %.1f, "
       "\"warm_replay_speedup\": %.2f, \"queries\": %zu, \"replay_hits\": %llu},\n"
       "  \"handoff_census\": {\"on_demand_ms\": %.1f, \"warm_ms\": %.1f, "
       "\"build_ms\": %.1f, \"speedup\": %.2f},\n"
-      "  \"timeline_file\": {\"path\": \"%s\", \"networks\": %zu, \"bytes\": %zu},\n"
       "  \"outputs_identical\": true,\n"
       "  \"warm_speedup_target_2x_met\": %s\n"
       "}\n",
-      no_tl.wall_ms, cold.wall_ms, warm.wall_ms, warm_mmap.wall_ms, e2e_speedup,
+      no_tl.wall_ms, cold.wall_ms, warm.wall_ms, e2e_speedup,
       no_tl.records, sched_ondemand.wall_ms, sched_warm.wall_ms, sched_speedup,
       sched_ondemand.queries, static_cast<unsigned long long>(sched_hits),
       census_ondemand.wall_ms, census_warm.wall_ms, census_build_ms, census_speedup,
-      kTimelineFile, file_info.networks, file_info.bytes,
       target_met ? "true" : "false");
   std::fclose(out);
   bench::note("wrote BENCH_timeline.json");

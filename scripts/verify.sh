@@ -94,17 +94,11 @@ if [[ "$run_golden" == 1 ]]; then
     bench_timeline benchreport
   # The flake gate: the determinism-sensitive suites run 3x, golden_test
   # additionally asserting one more thread count each round. Snapshots
-  # regenerate only via `golden_test --update-golden`, never here. The
-  # first round builds the epoch timeline cold and persists it; later
-  # rounds warm-start from the file — same snapshots either way, so the
-  # repeat gate doubles as the persistence equivalence oracle.
-  rm -f build/golden-timeline.bin
-  timeline_flag="--timeline-out"
+  # regenerate only via `golden_test --update-golden`, never here. Each
+  # round builds its epoch timelines cold, in memory.
   for threads in 1 2 8; do
-    echo "-- repeat round: golden_test --threads ${threads} (${timeline_flag}) --"
-    ./build/tests/golden_test --threads "${threads}" \
-      "${timeline_flag}" build/golden-timeline.bin
-    timeline_flag="--timeline-in"
+    echo "-- repeat round: golden_test --threads ${threads} --"
+    ./build/tests/golden_test --threads "${threads}"
     ./build/tests/fault_test
     ./build/tests/determinism_test
   done

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "fault/hook.hpp"
-#include "io/timeline_io.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -239,9 +238,6 @@ const std::vector<Flag>& RunSession::shared_flags() {
       {"--fault-plan", "PATH", path(), "",
        "install a deterministic fault plan for the run (see src/fault)"},
       {"--no-timeline", "", {}, "", "ablate the epoch-timeline precompute"},
-      {"--timeline-in", "PATH", path(), "", "warm-start from a saved timeline file"},
-      {"--timeline-out", "PATH", path(), "",
-       "save the built timeline after a successful run"},
   };
   return flags;
 }
@@ -257,19 +253,6 @@ void RunSession::start(int argc, char** argv, int first, const std::vector<Flag>
   }
 
   if (args_.has("--no-timeline")) orbit::set_timeline_enabled(false);
-  if (args_.has("--timeline-in")) {
-    const std::string& in = args_.str("--timeline-in");
-    TimelineFileInfo info;
-    const std::string diag = load_timelines(in, &info);
-    if (diag.empty()) {
-      std::printf("timeline %s: %zu networks, %zu bytes\n", in.c_str(), info.networks,
-                  info.bytes);
-    } else {
-      // Not fatal: the run builds in memory and produces the same
-      // bytes — the warm start is an optimisation only.
-      std::fprintf(stderr, "%s: %s\n", tool_.c_str(), diag.c_str());
-    }
-  }
   // Either event export turns the recorder on; a postmortem lands
   // beside the --recorder-out file, else beside the --trace-out one.
   obs::FlightRecorder& rec = obs::FlightRecorder::global();
@@ -308,25 +291,17 @@ unsigned RunSession::threads() const {
 
 int RunSession::finish(int rc) {
   if (rc != 0) return rc;
-  bool ok = true;
-  const auto check = [&ok](bool written, const std::string& path) {
-    if (written) return true;
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    ok = false;
-    return false;
-  };
-  const std::string& timeline_out = args_.str("--timeline-out");
-  if (!timeline_out.empty() &&
-      check(save_timelines(timeline_out, command_).empty(), timeline_out)) {
-    std::printf("saved timeline to %s\n", timeline_out.c_str());
-  }
-  const std::string roll_up = orbit::timeline_summary_line();
-  if (!roll_up.empty()) std::printf("%s\n", roll_up.c_str());
-
   const std::string& metrics_out = args_.str("--metrics-out");
   const std::string& trace_out = args_.str("--trace-out");
   const std::string& recorder_out = args_.str("--recorder-out");
-  if (metrics_out.empty() && trace_out.empty() && recorder_out.empty()) return ok ? 0 : 1;
+  if (metrics_out.empty() && trace_out.empty() && recorder_out.empty()) return 0;
+
+  bool ok = true;
+  const auto check = [&ok](bool written, const std::string& path) {
+    if (written) return;
+    std::fprintf(stderr, "error writing %s\n", path.c_str());
+    ok = false;
+  };
 
   obs::RunManifest manifest;
   manifest.tool = tool_;

@@ -11,13 +11,13 @@
 //
 // `RunSession` owns the flags every run accepts (`shared_flags()`):
 // threads, the obs exports (metrics, trace, flight recorder, pool
-// watchdog), the fault plan, and the epoch-timeline toggle and files.
+// watchdog), the fault plan, and the epoch-timeline toggle.
 // `start` parses strictly — a bad argument prints one diagnostic and
 // exits 2 before any work — and applies them;
-// `finish(rc)` saves the timeline and writes the manifest-stamped
-// exports, and turns a failed write into one "error writing PATH" line
-// and exit 1. Everything here is observation or warm-start only:
-// simulation output is byte-identical with or without any of it.
+// `finish(rc)` writes the manifest-stamped exports, and turns a failed
+// write into one "error writing PATH" line and exit 1. Everything here
+// is observation or ablation only: simulation output is byte-identical
+// with or without any of it.
 #pragma once
 
 #include <cstdint>
@@ -103,11 +103,9 @@ class RunSession {
   static const std::vector<Flag>& shared_flags();
 
   /// Parses argv[first, argc) strictly against shared_flags() plus
-  /// `own`, then applies the shared ones: the timeline toggle,
-  /// --timeline-in, recorder, watchdog, fault plan. A
-  /// bad argument or an unloadable fault plan prints one diagnostic and
-  /// exits 2; a rejected --timeline-in file prints one and the run
-  /// builds in memory.
+  /// `own`, then applies the shared ones: the timeline toggle, recorder,
+  /// watchdog, fault plan. A bad argument or an unloadable fault plan
+  /// prints one diagnostic and exits 2.
   void start(int argc, char** argv, int first, const std::vector<Flag>& own = {},
              const std::vector<std::string>& positionals = {});
 
@@ -115,10 +113,10 @@ class RunSession {
   /// --threads as given (0 = one worker per hardware thread).
   unsigned threads() const;
 
-  /// Tear-down. When rc is 0: saves --timeline-out, prints the timeline
-  /// roll-up, and writes the manifest-stamped metrics, trace and
-  /// recorder files with a metrics summary. Returns rc, or 1 when rc is
-  /// 0 and a write failed (one "error writing PATH" line each).
+  /// Tear-down. When rc is 0: writes the manifest-stamped metrics,
+  /// trace and recorder files with a metrics summary. Returns rc, or 1
+  /// when rc is 0 and a write failed (one "error writing PATH" line
+  /// each).
   int finish(int rc);
 
  private:

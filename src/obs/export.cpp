@@ -478,9 +478,9 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     }
     out += line;
   }
-  // Derived: epoch-timeline replay effectiveness (PR 6's precompute
-  // claim). Hit ratio only when a lookup actually happened — a build
-  // with zero replays must not report a vacuous 0%.
+  // Derived: the one end-of-run roll-up of the epoch timeline. Hit
+  // ratio only when a lookup actually happened — a build with zero
+  // replays must not report a vacuous 0%.
   const MetricValue* tl_hit = snapshot.find("timeline.replay.hit");
   const MetricValue* tl_fallback = snapshot.find("timeline.replay.fallback");
   const MetricValue* tl_epochs = snapshot.find("timeline.build.epochs");

@@ -49,7 +49,7 @@ enum class EventKind : std::uint16_t {
   retry = 4,              ///< shard re-attempt after a failure (a = attempt)
   degrade = 5,            ///< shard quarantined at fan-in (a = attempts used)
   timeline_hit = 6,       ///< epoch-timeline replay hit (a = layer)
-  timeline_fallback = 7,  ///< replay missed, fell back to the index (a = layer)
+  timeline_fallback = 7,  ///< replay missed, fell back to the window sweep (a = layer)
   queue_depth = 8,        ///< pool queue depth sample (a = depth; det = 0)
   stall_flag = 9,         ///< watchdog flagged a straggler (a = wall ms; det = 0)
 };

@@ -5,11 +5,11 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "fault/hook.hpp"
@@ -235,10 +235,9 @@ std::uint64_t access_identity_hash(const AccessConfig& config,
       hash_mix(h, static_cast<std::uint64_t>(shell.phase_factor));
     }
     // Non-default orbit models fold in the model tag and element hash so
-    // a persisted Walker timeline can never answer for an SGP4 world (or
-    // vice versa). Walker hashes are untouched — the shells above fully
-    // determine its ephemeris — keeping every pre-existing persisted
-    // timeline valid.
+    // a Walker snapshot can never answer for an SGP4 world with the same
+    // shells (or vice versa). Walker needs nothing more: the shells above
+    // fully determine its ephemeris.
     if (constellation->model() != OrbitModel::walker) {
       hash_mix(h, fnv1a(to_string(constellation->model())));
       hash_mix(h, constellation->ephemeris_hash());
@@ -250,41 +249,7 @@ std::uint64_t access_identity_hash(const AccessConfig& config,
 // ------------------------------------------------------------ snapshot
 
 EpochTimeline::EpochTimeline(std::uint64_t identity, Arrays arrays)
-    : identity_(identity),
-      instance_id_(next_timeline_id()),
-      interval_sec_(arrays.interval_sec),
-      static_boundaries_(std::move(arrays.static_boundaries)),
-      boundaries_(std::move(arrays.boundaries)),
-      era_keys_(std::move(arrays.era_keys)) {
-  auto owned = std::make_shared<Arrays>(std::move(arrays));
-  view_ = View{owned->s_lat,      owned->s_lon,  owned->s_epoch, owned->s_sat,
-               owned->m_lat,      owned->m_lon,  owned->m_epoch, owned->m_era,
-               owned->m_sat,      owned->m_popgw, owned->m_up,   owned->m_down,
-               owned->m_backhaul, owned->m_sched, owned->m_oneway};
-  backing_ = std::move(owned);
-}
-
-EpochTimeline::EpochTimeline(std::uint64_t identity, double interval_sec,
-                             std::vector<double> static_boundaries,
-                             std::vector<double> boundaries,
-                             std::vector<std::uint64_t> era_keys, View view,
-                             std::shared_ptr<const void> backing)
-    : identity_(identity),
-      instance_id_(next_timeline_id()),
-      interval_sec_(interval_sec),
-      static_boundaries_(std::move(static_boundaries)),
-      boundaries_(std::move(boundaries)),
-      era_keys_(std::move(era_keys)),
-      view_(view),
-      backing_(std::move(backing)) {}
-
-EpochTimeline::~EpochTimeline() = default;
-
-std::size_t EpochTimeline::byte_size() const {
-  return serving_size() * (3 * sizeof(std::uint64_t) + sizeof(std::uint32_t)) +
-         sample_size() *
-             (3 * sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t) + 5 * sizeof(std::uint64_t));
-}
+    : identity_(identity), instance_id_(next_timeline_id()), arrays_(std::move(arrays)) {}
 
 std::uint32_t EpochTimeline::pack_sat(const SatId& id) {
   return static_cast<std::uint32_t>((id.shell << 20) | (id.plane << 10) | id.index);
@@ -296,8 +261,8 @@ SatId EpochTimeline::unpack_sat(std::uint32_t packed) {
 
 std::uint32_t EpochTimeline::era_of(double t_sec) const {
   return static_cast<std::uint32_t>(
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), t_sec) -
-      boundaries_.begin());
+      std::upper_bound(arrays_.boundaries.begin(), arrays_.boundaries.end(), t_sec) -
+      arrays_.boundaries.begin());
 }
 
 // --------------------------------------------------- per-thread validity
@@ -327,25 +292,26 @@ EpochTimeline::Validity& EpochTimeline::validity_for_thread() const {
   const fault::Hook* hook = fault::Hook::active();
   if (v.generation == hook) return v;
   v.generation = hook;
-  const std::size_t n_eras = boundaries_.size() + 1;
+  const std::vector<double>& boundaries = arrays_.boundaries;
+  const std::size_t n_eras = boundaries.size() + 1;
   v.valid.assign(n_eras, 1);
   // A stored era stays valid iff the *current* fault environment is
   // constant across its interval (no current boundary strictly inside)
   // and matches the environment it was built under (era-key compare at
   // a representative interior instant).
-  const std::vector<double> current = merged_boundaries(static_boundaries_, hook);
+  const std::vector<double> current = merged_boundaries(arrays_.static_boundaries, hook);
   for (std::size_t e = 0; e < n_eras; ++e) {
     const bool open_low = e == 0;
     const bool open_high = e == n_eras - 1;
-    const double lo = open_low ? 0.0 : boundaries_[e - 1];
-    const double hi = open_high ? 0.0 : boundaries_[e];
+    const double lo = open_low ? 0.0 : boundaries[e - 1];
+    const double hi = open_high ? 0.0 : boundaries[e];
     auto it = open_low ? current.begin()
                        : std::upper_bound(current.begin(), current.end(), lo);
     if (it != current.end() && (open_high || *it < hi)) {
       v.valid[e] = 0;
       continue;
     }
-    if (era_fault_key(hook, era_representative(boundaries_, e)) != era_keys_[e]) {
+    if (era_fault_key(hook, era_representative(boundaries, e)) != arrays_.era_keys[e]) {
       v.valid[e] = 0;
     }
   }
@@ -371,23 +337,45 @@ std::size_t soa_lower_bound(std::size_t n, Less less_at) {
   return lo;
 }
 
+/// Index of the serving entry keyed (lat, lon, epoch), or s_lat.size().
+std::size_t find_serving(const EpochTimeline::Arrays& v, std::uint64_t lat,
+                         std::uint64_t lon, std::uint64_t epoch) {
+  const std::size_t n = v.s_lat.size();
+  const std::size_t i = soa_lower_bound(n, [&](std::size_t m) {
+    if (v.s_lat[m] != lat) return v.s_lat[m] < lat;
+    if (v.s_lon[m] != lon) return v.s_lon[m] < lon;
+    return v.s_epoch[m] < epoch;
+  });
+  const bool hit =
+      i < n && v.s_lat[i] == lat && v.s_lon[i] == lon && v.s_epoch[i] == epoch;
+  return hit ? i : n;
+}
+
+/// Index of the sample entry keyed (lat, lon, epoch, era), or m_lat.size().
+std::size_t find_sample(const EpochTimeline::Arrays& v, std::uint64_t lat,
+                        std::uint64_t lon, std::uint64_t epoch, std::uint32_t era) {
+  const std::size_t n = v.m_lat.size();
+  const std::size_t i = soa_lower_bound(n, [&](std::size_t m) {
+    if (v.m_lat[m] != lat) return v.m_lat[m] < lat;
+    if (v.m_lon[m] != lon) return v.m_lon[m] < lon;
+    if (v.m_epoch[m] != epoch) return v.m_epoch[m] < epoch;
+    return v.m_era[m] < era;
+  });
+  const bool hit = i < n && v.m_lat[i] == lat && v.m_lon[i] == lon &&
+                   v.m_epoch[i] == epoch && v.m_era[i] == era;
+  return hit ? i : n;
+}
+
 }  // namespace
 
 EpochTimeline::ServingReplay EpochTimeline::replay_serving(const geo::GeoPoint& user,
                                                            double epoch_sec,
                                                            SatId* out) const {
   if (user.alt_km != 0.0) return ServingReplay::miss;  // keys are ground-level
-  const std::uint64_t klat = bits(user.lat_deg);
-  const std::uint64_t klon = bits(user.lon_deg);
-  const std::uint64_t kepoch = bits(epoch_sec);
-  const View& v = view_;
-  const std::size_t i = soa_lower_bound(v.s_lat.size(), [&](std::size_t m) {
-    if (v.s_lat[m] != klat) return v.s_lat[m] < klat;
-    if (v.s_lon[m] != klon) return v.s_lon[m] < klon;
-    return v.s_epoch[m] < kepoch;
-  });
-  if (i >= v.s_lat.size() || v.s_lat[i] != klat || v.s_lon[i] != klon ||
-      v.s_epoch[i] != kepoch) {
+  const Arrays& v = arrays_;
+  const std::size_t i =
+      find_serving(v, bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec));
+  if (i == v.s_lat.size()) {
     record_replay_fallback(kServingLayer);
     return ServingReplay::miss;
   }
@@ -406,18 +394,10 @@ bool EpochTimeline::replay_sample(const geo::GeoPoint& user, double t_sec,
     record_replay_fallback(kSampleLayer);
     return false;
   }
-  const std::uint64_t klat = bits(user.lat_deg);
-  const std::uint64_t klon = bits(user.lon_deg);
-  const std::uint64_t kepoch = bits(epoch_sec);
-  const View& v = view_;
-  const std::size_t i = soa_lower_bound(v.m_lat.size(), [&](std::size_t m) {
-    if (v.m_lat[m] != klat) return v.m_lat[m] < klat;
-    if (v.m_lon[m] != klon) return v.m_lon[m] < klon;
-    if (v.m_epoch[m] != kepoch) return v.m_epoch[m] < kepoch;
-    return v.m_era[m] < era;
-  });
-  if (i >= v.m_lat.size() || v.m_lat[i] != klat || v.m_lon[i] != klon ||
-      v.m_epoch[i] != kepoch || v.m_era[i] != era) {
+  const Arrays& v = arrays_;
+  const std::size_t i =
+      find_sample(v, bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec), era);
+  if (i == v.m_lat.size()) {
     record_replay_fallback(kSampleLayer);
     return false;
   }
@@ -466,11 +446,6 @@ void EpochTimeline::install(std::shared_ptr<const EpochTimeline> timeline) {
   }
   registry_slot().store(next.get(), std::memory_order_release);
   registry_graveyard().push_back(std::move(next));
-}
-
-std::vector<std::shared_ptr<const EpochTimeline>> EpochTimeline::installed() {
-  const Registry* reg = registry_slot().load(std::memory_order_acquire);
-  return reg ? reg->items : std::vector<std::shared_ptr<const EpochTimeline>>{};
 }
 
 void EpochTimeline::clear_installed() {
@@ -601,23 +576,17 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   // when the era partition and per-era keys are unchanged.
   const std::uint64_t identity = net.identity_hash();
   const EpochTimeline* existing = find(identity);
-  const bool sample_reuse = existing && existing->static_boundaries_ == static_b &&
-                            existing->boundaries_ == merged &&
-                            existing->era_keys_ == era_keys;
+  const bool sample_reuse = existing && existing->arrays_.static_boundaries == static_b &&
+                            existing->arrays_.boundaries == merged &&
+                            existing->arrays_.era_keys == era_keys;
 
   std::vector<ServingKey> missing_s;
   if (!existing) {
     missing_s = std::move(skeys);
   } else {
-    const View& v = existing->view_;
+    const Arrays& v = existing->arrays_;
     for (const auto& k : skeys) {
-      const std::size_t i = soa_lower_bound(v.s_lat.size(), [&](std::size_t m) {
-        if (v.s_lat[m] != k.lat) return v.s_lat[m] < k.lat;
-        if (v.s_lon[m] != k.lon) return v.s_lon[m] < k.lon;
-        return v.s_epoch[m] < k.epoch;
-      });
-      if (i >= v.s_lat.size() || v.s_lat[i] != k.lat || v.s_lon[i] != k.lon ||
-          v.s_epoch[i] != k.epoch) {
+      if (find_serving(v, k.lat, k.lon, k.epoch) == v.s_lat.size()) {
         missing_s.push_back(k);
       }
     }
@@ -626,16 +595,9 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   if (!sample_reuse) {
     missing_m = std::move(mkeys);
   } else {
-    const View& v = existing->view_;
+    const Arrays& v = existing->arrays_;
     for (const auto& k : mkeys) {
-      const std::size_t i = soa_lower_bound(v.m_lat.size(), [&](std::size_t m) {
-        if (v.m_lat[m] != k.lat) return v.m_lat[m] < k.lat;
-        if (v.m_lon[m] != k.lon) return v.m_lon[m] < k.lon;
-        if (v.m_epoch[m] != k.epoch) return v.m_epoch[m] < k.epoch;
-        return v.m_era[m] < k.era;
-      });
-      if (i >= v.m_lat.size() || v.m_lat[i] != k.lat || v.m_lon[i] != k.lon ||
-          v.m_epoch[i] != k.epoch || v.m_era[i] != k.era) {
+      if (find_sample(v, k.lat, k.lon, k.epoch, k.era) == v.m_lat.size()) {
         missing_m.push_back(k);
       }
     }
@@ -656,7 +618,6 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   // Deterministic merge: existing entries and fresh slots interleave in
   // key order, independent of how many workers computed them.
   Arrays arrays;
-  arrays.interval_sec = config.reconfig_interval_sec;
   arrays.static_boundaries = std::move(static_b);
   arrays.boundaries = std::move(merged);
   arrays.era_keys = std::move(era_keys);
@@ -668,7 +629,7 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   arrays.s_sat.reserve(old_s + missing_s.size());
   {
     std::size_t a = 0, b = 0;
-    const View* v = existing ? &existing->view_ : nullptr;
+    const Arrays* v = existing ? &existing->arrays_ : nullptr;
     const std::size_t na = existing ? old_s : 0;
     while (a < na || b < missing_s.size()) {
       bool take_existing;
@@ -705,11 +666,7 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   std::vector<AccessSample> built_m(missing_m.size());
   for_each_slot(missing_m.size(), threads, [&](std::size_t i) {
     const SampleKey& k = missing_m[i];
-    const std::size_t j = soa_lower_bound(arrays.s_lat.size(), [&](std::size_t m) {
-      if (arrays.s_lat[m] != k.lat) return arrays.s_lat[m] < k.lat;
-      if (arrays.s_lon[m] != k.lon) return arrays.s_lon[m] < k.lon;
-      return arrays.s_epoch[m] < k.epoch;
-    });
+    const std::size_t j = find_serving(arrays, k.lat, k.lon, k.epoch);
     const geo::GeoPoint user{from_bits(k.lat), from_bits(k.lon), 0.0};
     const double epoch = from_bits(k.epoch);
     std::optional<VisibleSat> sat;
@@ -733,7 +690,7 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   arrays.m_sched.reserve(total_m);
   arrays.m_oneway.reserve(total_m);
   {
-    const auto push_existing = [&](const View& v, std::size_t a) {
+    const auto push_existing = [&](const Arrays& v, std::size_t a) {
       arrays.m_lat.push_back(v.m_lat[a]);
       arrays.m_lon.push_back(v.m_lon[a]);
       arrays.m_epoch.push_back(v.m_epoch[a]);
@@ -770,12 +727,12 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
       } else if (b >= missing_m.size()) {
         take_existing = true;
       } else {
-        const View& v = existing->view_;
+        const Arrays& v = existing->arrays_;
         const SampleKey ka{v.m_lat[a], v.m_lon[a], v.m_epoch[a], v.m_era[a], 0};
         take_existing = ka < missing_m[b];
       }
       if (take_existing) {
-        push_existing(existing->view_, a);
+        push_existing(existing->arrays_, a);
         ++a;
       } else {
         push_built(b);
@@ -798,48 +755,6 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()));
   counters().build_epochs.add(missing_s.size() + missing_m.size());
   counters().build_bytes.add(new_bytes);
-}
-
-// ------------------------------------------------------------- summary
-
-std::string timeline_summary_line() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  const std::uint64_t hit = reg.counter("timeline.replay.hit", "").value();
-  const std::uint64_t fallback = reg.counter("timeline.replay.fallback", "").value();
-  const std::uint64_t epochs = reg.counter("timeline.build.epochs", "").value();
-  const std::uint64_t ms = reg.counter("timeline.build.ms", "").value();
-  const std::uint64_t bytes = reg.counter("timeline.build.bytes", "").value();
-  const std::uint64_t loads = reg.counter("timeline.io.load", "").value();
-  const std::uint64_t mmap_bytes = reg.counter("timeline.io.mmap_bytes", "").value();
-  if (hit + fallback + epochs + loads == 0) return "";
-
-  char buf[256];
-  std::string line = "timeline:";
-  if (hit + fallback > 0) {
-    // Hit ratio only when there were lookups at all (the guard the
-    // observability checklist calls out).
-    std::snprintf(buf, sizeof(buf), " replay %llu hits / %llu fallbacks (%.1f%% hit)",
-                  static_cast<unsigned long long>(hit),
-                  static_cast<unsigned long long>(fallback),
-                  100.0 * static_cast<double>(hit) / static_cast<double>(hit + fallback));
-    line += buf;
-  }
-  if (epochs > 0) {
-    std::snprintf(buf, sizeof(buf), "%s built %llu epochs in %llu ms (%.1f MB)",
-                  (hit + fallback > 0) ? "," : "",
-                  static_cast<unsigned long long>(epochs),
-                  static_cast<unsigned long long>(ms),
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-    line += buf;
-  }
-  if (loads > 0) {
-    std::snprintf(buf, sizeof(buf), "%s loaded %llu file%s (%.1f MB mmap)",
-                  (hit + fallback + epochs > 0) ? "," : "",
-                  static_cast<unsigned long long>(loads), loads == 1 ? "" : "s",
-                  static_cast<double>(mmap_bytes) / (1024.0 * 1024.0));
-    line += buf;
-  }
-  return line;
 }
 
 }  // namespace satnet::orbit

@@ -11,10 +11,10 @@
 // and access sample once, in parallel on runtime::ThreadPool with a
 // deterministic slot-per-key merge, into sorted SoA arrays; after that
 // AccessNetwork::sample() and serving_sat_at_epoch() are binary-search
-// replays. Anything not covered falls back to the exact cone-prefilter
-// sweep, so the timeline is value-transparent by construction: campaign
-// output is byte-identical with the timeline on, off (--no-timeline), or
-// loaded from disk — the golden suite pins exactly that equivalence.
+// replays. Anything not covered falls back to the exact on-demand
+// window sweep, so the timeline is value-transparent by construction:
+// campaign output is byte-identical with the timeline on or off
+// (--no-timeline) — the golden suite pins exactly that equivalence.
 //
 // Fault-plan coherence partitions time into eras instead of flushing:
 // the snapshot stores the era boundaries it was built under
@@ -23,14 +23,12 @@
 // plan invalidates exactly the eras whose boundary structure or active
 // set changed — those lookups fall back and are counted — while the
 // serving layer (pure geometry, fault-independent) and every untouched
-// era keep replaying. Persistence lives in src/io/timeline_io.{hpp,cpp}:
-// the same arrays, mmap-able, little-endian, stamped and checksummed.
+// era keep replaying. Snapshots live in memory only, for the process
+// lifetime.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "geo/geodesy.hpp"
@@ -80,10 +78,8 @@ class EpochTimeline {
   /// Packed serving-satellite sentinel: terminal sees no satellite.
   static constexpr std::uint32_t kNoSat = 0xFFFFFFFFu;
 
-  /// Owned SoA storage (cold builds and tests). Loaded snapshots view an
-  /// mmap'ed file through the same spans instead of owning vectors.
+  /// The snapshot's SoA storage.
   struct Arrays {
-    double interval_sec = 0;
     std::vector<double> static_boundaries;  ///< PoP override edges
     std::vector<double> boundaries;         ///< static + fault edges, sorted
     std::vector<std::uint64_t> era_keys;    ///< boundaries.size() + 1 hashes
@@ -94,41 +90,20 @@ class EpochTimeline {
     std::vector<std::uint64_t> m_lat, m_lon, m_epoch;
     std::vector<std::uint32_t> m_era, m_sat, m_popgw;  ///< popgw = pop<<16 | gw
     std::vector<std::uint64_t> m_up, m_down, m_backhaul, m_sched, m_oneway;
+
+    friend bool operator==(const Arrays&, const Arrays&) = default;
   };
 
-  /// Read-only view of the SoA arrays, backed either by an Arrays heap
-  /// block or by a file mapping (see backing in the span constructor).
-  struct View {
-    std::span<const std::uint64_t> s_lat, s_lon, s_epoch;
-    std::span<const std::uint32_t> s_sat;
-    std::span<const std::uint64_t> m_lat, m_lon, m_epoch;
-    std::span<const std::uint32_t> m_era, m_sat, m_popgw;
-    std::span<const std::uint64_t> m_up, m_down, m_backhaul, m_sched, m_oneway;
-  };
-
-  /// Owning constructor (cold builds).
   EpochTimeline(std::uint64_t identity, Arrays arrays);
-  /// Span constructor (loader): `backing` keeps the viewed memory alive
-  /// for the snapshot's lifetime (typically an mmap'ed file).
-  EpochTimeline(std::uint64_t identity, double interval_sec,
-                std::vector<double> static_boundaries, std::vector<double> boundaries,
-                std::vector<std::uint64_t> era_keys, View view,
-                std::shared_ptr<const void> backing);
-  ~EpochTimeline();
 
   EpochTimeline(const EpochTimeline&) = delete;
   EpochTimeline& operator=(const EpochTimeline&) = delete;
 
   std::uint64_t identity() const { return identity_; }
-  double interval_sec() const { return interval_sec_; }
-  const std::vector<double>& static_boundaries() const { return static_boundaries_; }
-  const std::vector<double>& boundaries() const { return boundaries_; }
-  const std::vector<std::uint64_t>& era_keys() const { return era_keys_; }
-  const View& view() const { return view_; }
-  std::size_t serving_size() const { return view_.s_lat.size(); }
-  std::size_t sample_size() const { return view_.m_lat.size(); }
-  /// Payload bytes across both layers (what build/io counters report).
-  std::size_t byte_size() const;
+  /// The stored layers, for tests that check entries one by one.
+  const Arrays& arrays() const { return arrays_; }
+  std::size_t serving_size() const { return arrays_.s_lat.size(); }
+  std::size_t sample_size() const { return arrays_.m_lat.size(); }
 
   enum class ServingReplay {
     miss,     ///< epoch not covered: caller falls back to the sweep
@@ -164,10 +139,6 @@ class EpochTimeline {
   /// pointer stays valid for the process lifetime (snapshots are
   /// retired, never destroyed — the fault::Hook install pattern).
   static const EpochTimeline* find(std::uint64_t identity);
-  /// Installs (or replaces) the snapshot for timeline->identity().
-  static void install(std::shared_ptr<const EpochTimeline> timeline);
-  /// Every installed snapshot, sorted by identity (for --timeline-out).
-  static std::vector<std::shared_ptr<const EpochTimeline>> installed();
   /// Uninstalls everything (tests and benches; retired, not destroyed).
   static void clear_installed();
 
@@ -175,21 +146,12 @@ class EpochTimeline {
   struct Validity;
   Validity& validity_for_thread() const;
   std::uint32_t era_of(double t_sec) const;
+  /// Installs (or replaces) the snapshot for timeline->identity().
+  static void install(std::shared_ptr<const EpochTimeline> timeline);
 
   std::uint64_t identity_ = 0;
   std::uint64_t instance_id_ = 0;  ///< process-unique validity-cache key
-  double interval_sec_ = 0;
-  std::vector<double> static_boundaries_;
-  std::vector<double> boundaries_;
-  std::vector<std::uint64_t> era_keys_;
-  View view_;
-  std::shared_ptr<const void> backing_;
+  Arrays arrays_;
 };
-
-/// End-of-run observability roll-up over the timeline.* counters:
-/// replay hit/fallback (hit ratio guarded against zero lookups), build
-/// cost, and file load stats. Empty string when the timeline never did
-/// anything — callers can print unconditionally.
-std::string timeline_summary_line();
 
 }  // namespace satnet::orbit

@@ -46,6 +46,9 @@ bad_flag("--help" "${SATNETCTL}" campaign --help)
 bad_flag("--thread" "${SATNETCTL}" campaign --thread 2)
 # The access-index ablation flag is gone with the index.
 bad_flag("--no-access-cache" "${SATNETCTL}" campaign --no-access-cache)
+# Timelines live in memory only: there is no file to load or save.
+bad_flag("--timeline-in" "${SATNETCTL}" campaign --timeline-in x)
+bad_flag("--timeline-out" "${SATNETCTL}" campaign --timeline-out x)
 bad_flag("--recorder-ring" "${SATNETCTL}" campaign --recorder-ring abc)
 bad_flag("--retries" "${SATNETCTL}" campaign --retries 0)
 bad_flag("--orbit-model" "${SATNETCTL}" world --seed 1 --orbit-model foo)

@@ -13,11 +13,9 @@
 // The shared run flags (io/session.hpp) apply to the whole suite, and
 // every snapshot must still match byte-for-byte under them, so
 // scripts/verify.sh --golden uses each round as an equivalence oracle:
-// --no-timeline (no replay, every sample takes the cone sweep),
-// --timeline-in FILE (warm start from a saved snapshot; --timeline-out
-// FILE saves the one this run built) and --recorder-out FILE (flight
-// recorder on, drained to FILE at exit). --threads N asserts one more
-// thread count on top of the fixed 1/2/8.
+// --no-timeline (no replay, every sample takes the window sweep) and
+// --recorder-out FILE (flight recorder on, drained to FILE at exit).
+// --threads N asserts one more thread count on top of the fixed 1/2/8.
 #include <gtest/gtest.h>
 
 #include <cstdio>

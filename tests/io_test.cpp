@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -15,11 +13,7 @@
 
 #include "io/csv.hpp"
 #include "io/report.hpp"
-#include "io/timeline_io.hpp"
 #include "mlab/campaign.hpp"
-#include "orbit/access.hpp"
-#include "orbit/shell.hpp"
-#include "orbit/timeline.hpp"
 #include "snoid/pipeline.hpp"
 #include "synth/world.hpp"
 
@@ -264,157 +258,6 @@ TEST_F(ExportTest, StudyReportSkipsPopSectionWithoutAtlas) {
   const std::string report = study_report(dataset(), result, ripe::AtlasDataset{});
   EXPECT_EQ(report.find("## Starlink PoP analysis"), std::string::npos);
   EXPECT_NE(report.find("## Cross-orbit summary"), std::string::npos);
-}
-
-// ------------------------------------------------------- timeline files
-//
-// The loader's robustness contract (DESIGN.md §12): any corrupt,
-// truncated, byte-swapped, or stale file is rejected with one
-// diagnostic, *out stays empty, and nothing is installed — campaigns
-// silently fall back to in-memory builds. Each test corrupts a specific
-// header field of a valid image and asserts the matching message.
-
-class TimelineIoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    orbit::EpochTimeline::clear_installed();
-    orbit::set_timeline_enabled(true);
-  }
-  void TearDown() override {
-    orbit::EpochTimeline::clear_installed();
-    orbit::set_timeline_enabled(true);
-  }
-
-  /// A small but real serialized image: one Starlink snapshot covering
-  /// a handful of terminals and epochs.
-  static std::string valid_image() {
-    static const std::string image = [] {
-      const auto constellation =
-          std::make_shared<const orbit::Constellation>(orbit::starlink_shells());
-      const orbit::AccessNetwork net = orbit::make_starlink_access(constellation);
-      std::vector<orbit::TimelineQuery> queries;
-      for (const double lat : {47.61, -33.87}) {
-        for (int e = 1; e <= 20; ++e) {
-          queries.push_back({{lat, -122.33, 0}, 15.0 * e});
-        }
-      }
-      orbit::EpochTimeline::ensure(net, std::move(queries), 1);
-      const std::string bytes =
-          serialize_timelines(orbit::EpochTimeline::installed(), "io_test stamp");
-      orbit::EpochTimeline::clear_installed();
-      return bytes;
-    }();
-    return image;
-  }
-
-  /// Parses `bytes`, expecting rejection: returns the diagnostic and
-  /// asserts nothing was decoded.
-  static std::string expect_rejected(std::string bytes) {
-    auto backing = std::make_shared<std::string>(std::move(bytes));
-    std::vector<std::shared_ptr<const orbit::EpochTimeline>> out;
-    const std::string diag = parse_timelines(*backing, backing, &out);
-    EXPECT_FALSE(diag.empty());
-    EXPECT_TRUE(out.empty()) << diag;
-    return diag;
-  }
-};
-
-TEST_F(TimelineIoTest, RoundTripPreservesEverything) {
-  auto backing = std::make_shared<std::string>(valid_image());
-  std::vector<std::shared_ptr<const orbit::EpochTimeline>> out;
-  TimelineFileInfo info;
-  ASSERT_EQ(parse_timelines(*backing, backing, &out, &info), "");
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(info.networks, 1u);
-  EXPECT_EQ(info.bytes, backing->size());
-  EXPECT_EQ(info.manifest, "io_test stamp");
-  EXPECT_GT(out.front()->serving_size(), 0u);
-  EXPECT_GT(out.front()->sample_size(), 0u);
-  // Re-serializing the loaded snapshots reproduces the image verbatim.
-  EXPECT_EQ(serialize_timelines(out, "io_test stamp"), *backing);
-}
-
-TEST_F(TimelineIoTest, BitFlipInPayloadRejected) {
-  std::string bytes = valid_image();
-  bytes[bytes.size() / 2] ^= 0x01;
-  EXPECT_NE(expect_rejected(std::move(bytes)).find("checksum mismatch"),
-            std::string::npos);
-}
-
-TEST_F(TimelineIoTest, TruncationRejected) {
-  const std::string bytes = valid_image();
-  // Any prefix must be rejected: mid-payload cuts fail the checksum,
-  // header-sized cuts fail structural checks. Never a crash or a
-  // partial decode.
-  for (const std::size_t keep :
-       {bytes.size() - 1, bytes.size() / 2, std::size_t{40}, std::size_t{8}}) {
-    expect_rejected(bytes.substr(0, keep));
-  }
-  EXPECT_NE(expect_rejected(bytes.substr(0, 8)).find("truncated header"),
-            std::string::npos);
-}
-
-TEST_F(TimelineIoTest, ByteSwappedFileRejected) {
-  std::string bytes = valid_image();
-  bytes[6] = static_cast<char>(0xFE);  // byte-order mark as a big-endian
-  bytes[7] = static_cast<char>(0xFF);  // writer would have produced it
-  EXPECT_NE(expect_rejected(std::move(bytes)).find("wrong endianness"),
-            std::string::npos);
-}
-
-TEST_F(TimelineIoTest, FutureFormatVersionRejected) {
-  std::string bytes = valid_image();
-  bytes[4] = static_cast<char>(kTimelineFormatVersion + 1);
-  EXPECT_NE(expect_rejected(std::move(bytes)).find("unsupported format version"),
-            std::string::npos);
-}
-
-TEST_F(TimelineIoTest, StaleSchemaStampRejected) {
-  std::string bytes = valid_image();
-  bytes[9] ^= 0x40;  // schema hash occupies bytes 8..15
-  EXPECT_NE(expect_rejected(std::move(bytes)).find("stale schema"),
-            std::string::npos);
-}
-
-TEST_F(TimelineIoTest, WrongMagicRejected) {
-  std::string bytes = valid_image();
-  bytes[0] = 'X';
-  EXPECT_NE(expect_rejected(std::move(bytes)).find("bad magic"), std::string::npos);
-}
-
-TEST_F(TimelineIoTest, LoadRejectsCorruptFileAndInstallsNothing) {
-  const std::string path = ::testing::TempDir() + "/satnet_timeline_corrupt.tl";
-  std::string bytes = valid_image();
-  bytes[bytes.size() - 12] ^= 0x80;  // land inside the sample arrays
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const std::string diag = load_timelines(path);
-  EXPECT_NE(diag.find("timeline file rejected"), std::string::npos) << diag;
-  EXPECT_TRUE(orbit::EpochTimeline::installed().empty());
-  std::remove(path.c_str());
-}
-
-TEST_F(TimelineIoTest, SaveLoadInstallsSnapshots) {
-  const std::string path = ::testing::TempDir() + "/satnet_timeline_ok.tl";
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    const std::string bytes = valid_image();
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  TimelineFileInfo info;
-  ASSERT_EQ(load_timelines(path, &info), "");
-  EXPECT_EQ(info.networks, 1u);
-  EXPECT_EQ(info.manifest, "io_test stamp");
-  EXPECT_EQ(orbit::EpochTimeline::installed().size(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST_F(TimelineIoTest, MissingFileIsOneDiagnostic) {
-  const std::string diag = load_timelines("/nonexistent/dir/timeline.tl");
-  EXPECT_FALSE(diag.empty());
-  EXPECT_TRUE(orbit::EpochTimeline::installed().empty());
 }
 
 }  // namespace

@@ -196,6 +196,38 @@ TEST(ExportTest, SummaryTextListsConeCountersWithoutRatio) {
   EXPECT_EQ(text.find("reduction"), std::string::npos);
 }
 
+TEST(ExportTest, SummaryTextRollsUpTheTimeline) {
+  // Lookups happened: the hit ratio, with the build cost alongside.
+  MetricsRegistry replayed;
+  replayed.counter("timeline.replay.hit").add(3000);
+  replayed.counter("timeline.replay.fallback").add(1000);
+  replayed.counter("timeline.build.epochs").add(4500);
+  replayed.counter("timeline.build.ms").add(12);
+  EXPECT_NE(summary_text(replayed.scrape(), test_manifest())
+                .find("  timeline: 3000 replay hits / 1000 fallbacks (75.0% hit ratio, "
+                      "4500 epochs built in 12 ms)\n"),
+            std::string::npos);
+
+  // A build with no lookups reports no ratio at all.
+  MetricsRegistry built;
+  built.counter("timeline.replay.hit");
+  built.counter("timeline.build.epochs").add(80);
+  built.counter("timeline.build.ms").add(3);
+  const std::string text = summary_text(built.scrape(), test_manifest());
+  EXPECT_NE(text.find("  timeline: no replays, 80 epochs built in 3 ms\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("hit ratio"), std::string::npos);
+
+  // Every timeline counter at zero: no timeline line.
+  MetricsRegistry idle;
+  idle.counter("timeline.replay.hit");
+  idle.counter("timeline.replay.fallback");
+  idle.counter("timeline.build.epochs");
+  idle.counter("timeline.build.ms");
+  EXPECT_EQ(summary_text(idle.scrape(), test_manifest()).find("timeline:"),
+            std::string::npos);
+}
+
 TEST(ExportTest, PrometheusEscapesHostileStrings) {
   // Names, help text, and label payloads with exposition-rule specials
   // (backslash, quote, newline) must neither split comment lines nor

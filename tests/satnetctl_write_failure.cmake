@@ -1,8 +1,8 @@
 # A failed write must not be reported as success: satnetctl writing its
-# CSV, or an export made at exit (metrics, trace, flight recorder,
-# timeline), to /dev/full (every write fails with ENOSPC) has to exit 1
-# with one "error writing /dev/full" diagnostic and no success line for
-# that file.
+# CSV, or an export made at exit (metrics, trace, flight recorder), to
+# /dev/full (every write fails with ENOSPC) has to exit 1 with one
+# "error writing /dev/full" diagnostic and no success line for that
+# file.
 #
 #   cmake -DSATNETCTL=path/to/satnetctl -P satnetctl_write_failure.cmake
 
@@ -28,7 +28,6 @@ function(write_fails success)
 endfunction()
 
 write_fails("wrote" --out /dev/full)
-write_fails("saved timeline" --out /dev/null --timeline-out /dev/full)
 write_fails("wrote .* to /dev/full" --out /dev/null --metrics-out /dev/full)
 write_fails("wrote .* to /dev/full" --out /dev/null --trace-out /dev/full)
 write_fails("wrote .* to /dev/full" --out /dev/null --recorder-out /dev/full)

@@ -120,6 +120,8 @@ TEST(SessionFlags, SharedFlagBounds) {
                   shared, &args),
             "");
   EXPECT_NE(parse({"--no-access-cache"}, shared, &args), "");
+  EXPECT_NE(parse({"--timeline-in", "x"}, shared, &args), "");
+  EXPECT_NE(parse({"--timeline-out", "x"}, shared, &args), "");
   EXPECT_NE(parse({"--threads", "100000"}, shared, &args), "");
   EXPECT_NE(parse({"--recorder-ring", "1"}, shared, &args), "");
   EXPECT_NE(parse({"--recorder-ring", "abc"}, shared, &args), "");

@@ -1,8 +1,8 @@
 // Epoch-timeline unit tests: replay equivalence against the on-demand
 // oracle, handoff prev-epoch coverage, era-keyed invalidation under a
-// fault plan, sat-id packing, and the serialize -> load -> replay
-// round trip. The golden and determinism suites pin the campaign-level
-// byte-identity contract; these tests pin the mechanism.
+// fault plan, sat-id packing, and thread-count identity of a build. The
+// golden and determinism suites pin the campaign-level byte-identity
+// contract; these tests pin the mechanism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "fault/hook.hpp"
 #include "fault/plan.hpp"
-#include "io/timeline_io.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
 #include "orbit/shell.hpp"
@@ -153,7 +152,7 @@ TEST_F(TimelineTest, ColdBuildChoosesEachServingKeyOnce) {
   // Every entry of both layers equals the on-demand value.
   orbit::set_timeline_enabled(false);
   const auto from_bits = [](std::uint64_t b) { return std::bit_cast<double>(b); };
-  const orbit::EpochTimeline::View& v = tl->view();
+  const orbit::EpochTimeline::Arrays& v = tl->arrays();
   const double mask = net.config().min_elevation_deg;
   for (std::size_t i = 0; i < tl->serving_size(); ++i) {
     const geo::GeoPoint user{from_bits(v.s_lat[i]), from_bits(v.s_lon[i]), 0.0};
@@ -165,7 +164,7 @@ TEST_F(TimelineTest, ColdBuildChoosesEachServingKeyOnce) {
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint32_t>,
            orbit::TimelineQuery>
       by_key;
-  const auto& b = tl->boundaries();
+  const auto& b = v.boundaries;
   for (const auto& q : queries) {
     const double epoch = std::floor(q.t_sec / 15.0) * 15.0;
     const auto era = static_cast<std::uint32_t>(
@@ -190,15 +189,16 @@ TEST_F(TimelineTest, ColdBuildChoosesEachServingKeyOnce) {
 TEST_F(TimelineTest, ThreadCountDoesNotChangeSnapshot) {
   const orbit::AccessNetwork net = make_net();
   orbit::EpochTimeline::ensure(net, grid_queries(50), 1);
-  const auto serial = orbit::EpochTimeline::installed();
-  ASSERT_EQ(serial.size(), 1u);
-  const std::string serial_bytes = io::serialize_timelines(serial, "t");
+  const orbit::EpochTimeline* serial = orbit::EpochTimeline::find(net.identity_hash());
+  ASSERT_NE(serial, nullptr);
+  ASSERT_GT(serial->sample_size(), 0u);
 
   orbit::EpochTimeline::clear_installed();
   orbit::EpochTimeline::ensure(net, grid_queries(50), 8);
-  const std::string parallel_bytes =
-      io::serialize_timelines(orbit::EpochTimeline::installed(), "t");
-  EXPECT_EQ(serial_bytes, parallel_bytes);
+  const orbit::EpochTimeline* parallel = orbit::EpochTimeline::find(net.identity_hash());
+  ASSERT_NE(parallel, nullptr);
+  ASSERT_NE(parallel, serial);
+  EXPECT_TRUE(serial->arrays() == parallel->arrays());
 }
 
 TEST_F(TimelineTest, FaultPlanInvalidatesStaleEras) {
@@ -262,11 +262,12 @@ TEST_F(TimelineTest, GeneratedPlanEraKeysPartitionTheTimeline) {
   const orbit::EpochTimeline* tl = orbit::EpochTimeline::find(net.identity_hash());
   ASSERT_NE(tl, nullptr);
 
-  const std::vector<double>& b = tl->boundaries();
+  const std::vector<double>& b = tl->arrays().boundaries;
   for (std::size_t i = 1; i < b.size(); ++i) {
     EXPECT_LT(b[i - 1], b[i]) << "boundaries must strictly increase";
   }
-  ASSERT_EQ(tl->era_keys().size(), b.size() + 1)
+  const std::vector<std::uint64_t>& keys = tl->arrays().era_keys;
+  ASSERT_EQ(keys.size(), b.size() + 1)
       << "one key per era: the keys partition the whole time axis";
 
   for (const fault::FaultEvent& ev : plan.events()) {
@@ -281,7 +282,7 @@ TEST_F(TimelineTest, GeneratedPlanEraKeysPartitionTheTimeline) {
       // Boundary b[k] separates era k from era k+1; the event toggles
       // exactly there, so the fault keys on both sides must differ.
       const std::size_t k = static_cast<std::size_t>(it - b.begin());
-      EXPECT_NE(tl->era_keys()[k], tl->era_keys()[k + 1])
+      EXPECT_NE(keys[k], keys[k + 1])
           << "era key unchanged across fault edge " << edge;
     }
   }
@@ -316,37 +317,6 @@ TEST_F(TimelineTest, GeneratedPlanEraKeysPartitionTheTimeline) {
       EXPECT_GT(counter("timeline.replay.hit"), hit0);
     }
   }
-}
-
-TEST_F(TimelineTest, SerializeLoadReplayRoundTrip) {
-  const orbit::AccessNetwork net = make_net();
-  orbit::EpochTimeline::ensure(net, grid_queries(30), 1);
-  std::vector<orbit::AccessSample> built;
-  for (const auto& q : grid_queries(30)) {
-    built.push_back(net.sample(q.terminal, q.t_sec));
-  }
-
-  const std::string image =
-      io::serialize_timelines(orbit::EpochTimeline::installed(), "round-trip");
-  orbit::EpochTimeline::clear_installed();
-
-  auto backing = std::make_shared<std::string>(image);
-  std::vector<std::shared_ptr<const orbit::EpochTimeline>> loaded;
-  io::TimelineFileInfo info;
-  ASSERT_EQ(io::parse_timelines(*backing, backing, &loaded, &info), "");
-  EXPECT_EQ(info.manifest, "round-trip");
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.front()->identity(), net.identity_hash());
-  for (auto& tl : loaded) orbit::EpochTimeline::install(std::move(tl));
-
-  const std::uint64_t hits0 = counter("timeline.replay.hit");
-  std::size_t i = 0;
-  for (const auto& q : grid_queries(30)) {
-    const orbit::AccessSample replayed = net.sample(q.terminal, q.t_sec);
-    EXPECT_TRUE(sample_equal(built[i], replayed)) << "query " << i;
-    ++i;
-  }
-  EXPECT_GT(counter("timeline.replay.hit"), hits0);
 }
 
 TEST_F(TimelineTest, DisabledTimelineIsNeverConsulted) {
