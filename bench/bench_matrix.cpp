@@ -17,6 +17,7 @@
 
 #include "matrix/invariants.hpp"
 #include "orbit/access.hpp"
+#include "orbit/timeline.hpp"
 #include "synth/worldgen.hpp"
 
 namespace {

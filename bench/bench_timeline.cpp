@@ -23,9 +23,12 @@
 #include <chrono>
 #include <cstdint>
 
+#include "mlab/campaign.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
 #include "orbit/timeline.hpp"
+#include "runtime/sharded.hpp"
+#include "synth/world.hpp"
 
 namespace {
 

@@ -1,8 +1,9 @@
 // satnetctl: command-line driver for the library — run campaigns, the
-// identification pipeline, the RIPE campaign, or the census, and export
-// datasets as CSV for external plotting. Run it without arguments for
-// the usage text, which is printed from the flag tables below; README
-// ("Command line") describes the shared flags and the exit codes.
+// identification pipeline, the RIPE campaign, or the census, export
+// datasets as CSV for external plotting, or print the paper's tables
+// and figures. Run it without arguments for the usage text, which is
+// printed from the flag tables below; README ("Command line") describes
+// the shared flags and the exit codes.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "io/csv.hpp"
+#include "io/paper.hpp"
 #include "io/report.hpp"
 #include "io/session.hpp"
 #include "matrix/invariants.hpp"
@@ -236,6 +238,17 @@ int cmd_census(const io::RunSession&) {
   return 0;
 }
 
+int cmd_paper(const io::RunSession& session) {
+  io::paper::Inputs inputs(session.threads());
+  const std::string& only = session.args().str("--figure");
+  for (const io::paper::Section& section : io::paper::sections()) {
+    if (only.empty() || section.id == only) {
+      std::fputs(section.render(inputs).c_str(), stdout);
+    }
+  }
+  return 0;
+}
+
 /// One subcommand: its own flags (the session adds the shared ones),
 /// its positional arguments, and a one-line summary for the usage text.
 struct Command {
@@ -270,6 +283,11 @@ const std::vector<Command>& commands() {
           out("traceroutes.csv"), retries, degrade},
          "RIPE Atlas campaign -> CSV", cmd_atlas},
         {"census", {}, {}, "Prolific census funnel", cmd_census},
+        {"paper", {},
+         {{"--figure", "ID", io::one_of(io::paper::section_ids()), "",
+           "print this section only"}},
+         "every table, figure, ablation and extension of the paper report",
+         cmd_paper},
         {"report", {}, {scale, out("report.md"), retries, degrade},
          "NDT + pipeline + one-year Atlas -> Markdown study report", cmd_report},
         {"world", {},

@@ -51,6 +51,19 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
+# The bench ledger a run appends to and gates against: a fresh copy of
+# the committed bench/ledger under build/ (kept across modes of one run,
+# so --golden and --matrix append to the same history).
+ledger_copied=0
+copy_ledger() {
+  if [[ "$ledger_copied" == 0 ]]; then
+    rm -rf build/ledger
+    mkdir -p build
+    cp -R bench/ledger build/ledger
+    ledger_copied=1
+  fi
+}
+
 # Every run states its randomized-sweep budgets up front, so a CI log or
 # a bug report always records how much world/seed coverage was bought.
 echo "verify: budgets — matrix worlds=${matrix_worlds} (--matrix-worlds N)," \
@@ -126,16 +139,18 @@ if [[ "$run_golden" == 1 ]]; then
   echo "-- timeline bench: bench_timeline --"
   ./build/bench/bench_timeline --benchmark_filter='sample_replay'
   test -s BENCH_timeline.json
-  # Perf-regression ledger: append this run to the committed history,
+  # Perf-regression ledger: append this run to a copy of the committed
+  # ledger under build/ (a verify run leaves no tracked file modified),
   # then gate on the machine-independent ratio metrics (speedups, hit
   # ratios) against the committed baseline. Absolute times are checked
   # only by CI's advisory step — they vary too much across machines for
   # a local hard gate.
-  echo "-- bench ledger: benchreport append + ratio gate --"
+  echo "-- bench ledger: benchreport append + ratio gate (build/ledger) --"
+  copy_ledger
   ./build/tools/benchreport/benchreport --append BENCH_timeline.json \
-    --ledger bench/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
+    --ledger build/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
   ./build/tools/benchreport/benchreport --check BENCH_timeline.json \
-    --ledger bench/ledger --ratios-only --tolerance 0.5
+    --ledger build/ledger --ratios-only --tolerance 0.5
 fi
 
 if [[ "$run_matrix" == 1 ]]; then
@@ -162,10 +177,11 @@ if [[ "$run_matrix" == 1 ]]; then
   SATNET_BENCH_MATRIX_WORLDS="${matrix_worlds}" \
     ./build/bench/bench_matrix --benchmark_filter='generate_scenario'
   test -s BENCH_matrix.json
+  copy_ledger
   ./build/tools/benchreport/benchreport --append BENCH_matrix.json \
-    --ledger bench/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
+    --ledger build/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
   ./build/tools/benchreport/benchreport --check BENCH_matrix.json \
-    --ledger bench/ledger --ratios-only --tolerance 0.5
+    --ledger build/ledger --ratios-only --tolerance 0.5
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

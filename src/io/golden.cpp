@@ -1,45 +1,15 @@
 #include "io/golden.hpp"
 
-#include <cstdarg>
-#include <cstdio>
-#include <map>
 #include <set>
-#include <tuple>
-#include <vector>
 
+#include "io/text.hpp"
 #include "mlab/campaign.hpp"
-#include "prolific/addon.hpp"
-#include "prolific/census.hpp"
 #include "snoid/pipeline.hpp"
 #include "stats/kde.hpp"
-#include "stats/rng.hpp"
-#include "stats/summary.hpp"
 #include "synth/asdb.hpp"
-#include "transport/tcp.hpp"
-#include "weather/weather.hpp"
+#include "synth/world.hpp"
 
 namespace satnet::io {
-
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-void append_header(std::string& out, const char* figure, const char* caption) {
-  out += "\n================================================================\n";
-  appendf(out, "%s — %s\n", figure, caption);
-  out += "================================================================\n";
-}
-
-void append_note(std::string& out, const char* text) { appendf(out, "  %s\n", text); }
-
-}  // namespace
 
 std::string identify_snos_report(unsigned threads) {
   std::string out;
@@ -105,106 +75,6 @@ std::string identify_snos_report(unsigned threads) {
   const auto result = snoid::run_pipeline(dataset, pcfg);
   appendf(out, "\n[3b-4] strict prefix filter + relaxation:\n%s",
           snoid::describe(result).c_str());
-  return out;
-}
-
-std::string fig9_speedtest_report(const synth::World& world) {
-  std::string out;
-  append_header(out, "Figure 9", "fast.com speedtest per SNO and continent");
-
-  prolific::TesterPool pool;
-  const auto reports = prolific::run_addon_study(world, pool);
-
-  struct Key {
-    std::string sno;
-    std::string continent;
-    bool operator<(const Key& o) const {
-      return std::tie(sno, continent) < std::tie(o.sno, o.continent);
-    }
-  };
-  std::map<Key, std::vector<const prolific::AddonRunReport*>> groups;
-  for (const auto& r : reports) {
-    if (r.speedtest.down_mbps <= 0) continue;  // outage run
-    groups[{r.sno, std::string(geo::to_string(r.continent))}].push_back(&r);
-  }
-
-  appendf(out, "  %-10s %-14s %5s %10s %9s %9s\n", "SNO", "continent", "runs",
-          "down Mbps", "up Mbps", "RTT ms");
-  for (const auto& [key, rs] : groups) {
-    std::vector<double> down, up, lat;
-    for (const auto* r : rs) {
-      down.push_back(r->speedtest.down_mbps);
-      up.push_back(r->speedtest.up_mbps);
-      lat.push_back(r->speedtest.latency_ms);
-    }
-    appendf(out, "  %-10s %-14s %5zu %10.1f %9.1f %9.1f\n", key.sno.c_str(),
-            key.continent.c_str(), rs.size(), stats::median(down), stats::median(up),
-            stats::median(lat));
-  }
-  append_note(out,
-              "paper: Starlink 70-150/6-21 Mbps (EU fastest: 150/21); "
-              "Viasat 10-40/3; HughesNet <3/3");
-  append_note(out,
-              "paper latencies: Starlink 35 (NA), 38 (EU), 49 (NZ); "
-              "Viasat ~600; HughesNet ~720");
-  return out;
-}
-
-std::string ablation_weather_report() {
-  std::string out;
-  append_header(out, "Ablation", "Rain fade: throughput/latency by sky condition");
-
-  synth::WorldConfig cfg;
-  cfg.enable_weather = true;
-  const synth::World world(cfg);
-  const weather::WeatherField field(cfg.weather);
-  stats::Rng rng(17);
-
-  // Sample NDT-style flows per (orbit, condition).
-  struct Cell {
-    std::vector<double> goodput_frac;  ///< goodput / plan
-    std::vector<double> retrans;
-    int outages = 0;
-    int n = 0;
-  };
-  std::map<std::pair<orbit::OrbitClass, weather::Condition>, Cell> cells;
-
-  std::map<orbit::OrbitClass, int> sampled;
-  for (const auto& sub : world.subscribers()) {
-    if (sub.tech != synth::AccessTech::satellite) continue;
-    if (++sampled[sub.orbit] > 150) continue;  // per-orbit quota
-    for (int k = 0; k < 4; ++k) {
-      const double t = k * 86400.0 * 13 + 3600.0 * k;
-      const weather::Condition sky = field.at(sub.location, t);
-      auto& cell = cells[{sub.orbit, sky}];
-      ++cell.n;
-      const auto path = world.sample_path(sub, t, rng);
-      if (!path.ok) {
-        ++cell.outages;
-        continue;
-      }
-      transport::TcpFlow flow(path.download, transport::TcpOptions{},
-                              rng.fork(sub.ip.value() + k));
-      const auto r = flow.run_for(8000.0);
-      cell.goodput_frac.push_back(r.goodput_mbps / sub.plan_down_mbps);
-      cell.retrans.push_back(r.retrans_fraction);
-    }
-  }
-
-  appendf(out, "  %-5s %-11s %5s %18s %14s %8s\n", "orbit", "sky", "n",
-          "goodput/plan (med)", "retrans (med)", "outages");
-  for (const auto& [key, cell] : cells) {
-    if (cell.goodput_frac.empty() && cell.outages == 0) continue;
-    appendf(out, "  %-5s %-11s %5d %18.2f %14.3f %8d\n",
-            orbit::to_string(key.first).c_str(),
-            std::string(weather::to_string(key.second)).c_str(), cell.n,
-            cell.goodput_frac.empty() ? 0.0 : stats::median(cell.goodput_frac),
-            cell.retrans.empty() ? 0.0 : stats::median(cell.retrans), cell.outages);
-  }
-  append_note(out,
-              "expected shape (per Kassem/Ma et al.): GEO capacity collapses "
-              "under rain; LEO degrades mildly; only GEO heavy rain causes "
-              "outages");
   return out;
 }
 

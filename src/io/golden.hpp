@@ -1,18 +1,15 @@
-// Deterministic report text shared by the example/bench binaries and the
-// golden-run regression suite.
+// The identify_snos walkthrough text, shared by examples/identify_snos
+// and the golden-run regression suite.
 //
-// Everything here is a pure function of (seed, config): no wall-clock,
-// no thread-count dependence, no machine dependence. The binaries print
-// these strings (and add their own nondeterministic extras — benchmark
-// timings, throughput checks — *around* them); tests/golden_test.cpp
-// pins the strings byte-for-byte against tests/golden/ snapshots at
-// 1/2/8 worker threads. If you change simulation behaviour on purpose,
-// regenerate the snapshots (see the test file or README).
+// A pure function of (seed, config): no wall-clock, no thread-count
+// dependence, no machine dependence. tests/golden_test.cpp pins it
+// byte-for-byte against tests/golden/identify_snos.txt at 1/2/8 worker
+// threads. If you change simulation behaviour on purpose, regenerate
+// the snapshots (see the test file or README). The paper's tables and
+// figures live in io/paper.hpp.
 #pragma once
 
 #include <string>
-
-#include "synth/world.hpp"
 
 namespace satnet::io {
 
@@ -20,13 +17,5 @@ namespace satnet::io {
 /// pipeline with what it keeps and drops. `threads` feeds the sharded
 /// campaign/pipeline runtimes; the text is identical for every value.
 std::string identify_snos_report(unsigned threads);
-
-/// Figure 9's table: fast.com speedtest medians per SNO and continent
-/// from the Prolific addon study over `world`.
-std::string fig9_speedtest_report(const synth::World& world);
-
-/// The rain-fade ablation table: goodput/retransmit/outage by orbit
-/// class and sky condition with the weather overlay enabled.
-std::string ablation_weather_report();
 
 }  // namespace satnet::io

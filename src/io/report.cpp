@@ -1,26 +1,11 @@
 #include "io/report.hpp"
 
-#include <cstdarg>
-#include <cstdio>
-
+#include "io/text.hpp"
 #include "snoid/analysis.hpp"
 #include "snoid/pop_analysis.hpp"
 #include "stats/cdf.hpp"
 
 namespace satnet::io {
-
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-}  // namespace
 
 std::string study_report(const mlab::NdtDataset& dataset,
                          const snoid::PipelineResult& result,

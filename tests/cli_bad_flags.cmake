@@ -3,7 +3,7 @@
 # no file behind — the flag is rejected before any campaign, pool or
 # export starts. Each case runs in a fresh, empty working directory.
 #
-#   cmake -DSATNETCTL=... -DBENCH=path/to/bench_fig14_census \
+#   cmake -DSATNETCTL=... -DBENCH=path/to/bench_matrix \
 #         -DGOLDEN_TEST=... -DBENCHREPORT=... -DWORKDIR=scratch/dir \
 #         -P cli_bad_flags.cmake
 
@@ -55,6 +55,7 @@ bad_flag("--orbit-model" "${SATNETCTL}" world --seed 1 --orbit-model foo)
 bad_flag("--t " "${SATNETCTL}" tle F --t abc)
 bad_flag("--scale" "${SATNETCTL}" campaign --scale 0.001 --scale=0.002)
 bad_flag("--seed" "${SATNETCTL}" world --seed 1 --seed 2)
+bad_flag("--figure" "${SATNETCTL}" paper --figure nope)
 # The unloadable fault plan is a second fence: a build whose parser let
 # 100000 through would stop at the plan, so this case never spawns a
 # pool. The diagnostic must name --threads, i.e. the parse came first.

@@ -1,7 +1,8 @@
-// Golden-run regression suite: pins the deterministic report text of
-// three representative binaries, and the CSV exports, byte-for-byte
-// against snapshots in tests/golden/. Any change to simulation behaviour — intended or not —
-// shows up here as a readable diff.
+// Golden-run regression suite: pins the identify_snos walkthrough, the
+// whole paper report (`satnetctl paper`) and the CSV exports
+// byte-for-byte against snapshots in tests/golden/. Any change to
+// simulation behaviour — intended or not — shows up here as a readable
+// diff.
 //
 // Regenerating snapshots after an intended behaviour change (never in CI):
 //
@@ -29,6 +30,7 @@
 #include "fault/plan.hpp"
 #include "io/csv.hpp"
 #include "io/golden.hpp"
+#include "io/paper.hpp"
 #include "io/session.hpp"
 #include "mlab/campaign.hpp"
 #include "orbit/timeline.hpp"
@@ -117,13 +119,21 @@ TEST(Golden, IdentifySnosThreadInvariant) {
   expect_golden("identify_snos.txt", t1);
 }
 
-TEST(Golden, Fig9Speedtest) {
-  const synth::World world;  // the benches' shared default world
-  expect_golden("bench_fig9_speedtest.txt", io::fig9_speedtest_report(world));
-}
-
-TEST(Golden, AblationWeather) {
-  expect_golden("bench_ablation_weather.txt", io::ablation_weather_report());
+// The whole paper report (every table, figure, ablation and extension
+// of `satnetctl paper`), each thread count over its own freshly built
+// datasets.
+TEST(Golden, PaperReport) {
+  const auto render = [](unsigned threads) {
+    io::paper::Inputs inputs(threads);
+    return io::paper::render_all(inputs);
+  };
+  const std::string t1 = render(1);
+  std::vector<unsigned> counts = {2, 8};
+  if (extra_threads() != 0) counts.push_back(extra_threads());
+  for (const unsigned threads : counts) {
+    EXPECT_EQ(t1, render(threads)) << "paper report differs at " << threads << " threads";
+  }
+  expect_golden("paper.txt", t1);
 }
 
 // The CSV exports, byte for byte, on io_test's small datasets: an NDT

@@ -13,6 +13,7 @@
 
 #include "io/csv.hpp"
 #include "io/report.hpp"
+#include "io/text.hpp"
 #include "mlab/campaign.hpp"
 #include "snoid/pipeline.hpp"
 #include "synth/world.hpp"
@@ -46,6 +47,29 @@ double from_bits(std::uint64_t bits) {
   double v = 0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+// appendf sizes its output from the formatted length: a row longer than
+// any fixed scratch buffer arrives whole, after what `out` already held.
+TEST(TextTest, AppendfKeepsRowsOfAnyLength) {
+  const std::string cell(600, 'x');
+  std::string out = "head|";
+  io::appendf(out, "%s|%5d|%.2f", cell.c_str(), 42, 2.5);
+  std::string want = "head|";
+  (want += cell) += "|   42|2.50";
+  EXPECT_EQ(out, want);
+  io::appendf(out, "%s", "");
+  EXPECT_EQ(out, want);
+}
+
+TEST(TextTest, HeaderAndNoteFraming) {
+  std::string out;
+  io::append_header(out, "Figure 9", "caption");
+  io::append_note(out, "note");
+  const std::string rule(64, '=');
+  std::string want = "\n";
+  ((((want += rule) += "\nFigure 9 — caption\n") += rule) += "\n  note\n");
+  EXPECT_EQ(out, want);
 }
 
 TEST(CsvWriterTest, PlainFieldsUnquoted) {

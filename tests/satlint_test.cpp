@@ -345,7 +345,7 @@ TEST(SatlintClassify, ModulesDriveRuleApplicability) {
   EXPECT_EQ(fault.module, "fault");
   EXPECT_FALSE(fault.injection_scope);
 
-  const satlint::FileClass bench = satlint::classify("bench/bench_fig9_speedtest.cpp");
+  const satlint::FileClass bench = satlint::classify("bench/bench_timeline.cpp");
   EXPECT_FALSE(bench.injection_scope);
 
   EXPECT_TRUE(satlint::classify("src/obs/recorder.cpp").clock_boundary);

@@ -92,11 +92,12 @@ const std::map<std::string, std::vector<std::string>> kAllowedDeps = {
     // other allow list).
     // io also holds the run session (io/session.*), which installs
     // fault plans and sets the pool watchdog: fault and runtime are
-    // lower layers, so no cycle.
+    // lower layers, so no cycle. The paper report (io/paper.*) renders
+    // every figure, so it also reads bgp, geo and http directly.
     {"src:io",
-     {"src:stats", "src:obs", "src:fault", "src:orbit", "src:transport",
-      "src:weather", "src:runtime", "src:synth", "src:mlab", "src:ripe",
-      "src:prolific", "src:snoid"}},
+     {"src:stats", "src:geo", "src:obs", "src:fault", "src:orbit", "src:transport",
+      "src:weather", "src:bgp", "src:http", "src:runtime", "src:synth", "src:mlab",
+      "src:ripe", "src:prolific", "src:snoid"}},
 };
 
 bool edge_allowed(const std::string& from, const std::string& to) {
