@@ -44,7 +44,7 @@ fi
 source_filter() { grep -E '\.(cpp|hpp|h)$' | grep -v '^tests/satlint_fixtures/' || true; }
 
 if [[ "$all" == 1 ]]; then
-  files="$(git ls-files 'src/**' 'bench/**' 'examples/**' 'tests/**' 'tools/**' | source_filter)"
+  files="$(git ls-files 'src/**' 'examples/**' 'tests/**' 'tools/**' | source_filter)"
 else
   if [[ -z "$base" ]]; then
     base="$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD~1 2>/dev/null || true)"
@@ -52,7 +52,7 @@ else
   if [[ -n "$base" ]]; then
     files="$( (git diff --name-only "$base" -- ; git diff --name-only --cached ; git ls-files --others --exclude-standard) | sort -u | source_filter)"
   else
-    files="$(git ls-files 'src/**' 'bench/**' 'examples/**' 'tests/**' 'tools/**' | source_filter)"
+    files="$(git ls-files 'src/**' 'examples/**' 'tests/**' 'tools/**' | source_filter)"
   fi
 fi
 

@@ -6,7 +6,7 @@
 #   scripts/verify.sh                  # everything: lint + tier-1 + golden + matrix + tsan + asan
 #   scripts/verify.sh --lint           # satlint + format check (CI job 1)
 #   scripts/verify.sh --tier1          # build + full ctest (CI job 2)
-#   scripts/verify.sh --golden         # golden snapshots + determinism/fault repeat (CI job 3)
+#   scripts/verify.sh --golden         # golden snapshots + determinism/fault repeat + perfbench correctness (CI job 3)
 #   scripts/verify.sh --matrix         # seeded scenario sweep + invariant catalog (CI nightly)
 #   scripts/verify.sh --matrix-worlds N  # override the matrix world budget (implies --matrix)
 #   scripts/verify.sh --tsan           # ThreadSanitizer pass (CI job 4)
@@ -51,19 +51,6 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-# The bench ledger a run appends to and gates against: a fresh copy of
-# the committed bench/ledger under build/ (kept across modes of one run,
-# so --golden and --matrix append to the same history).
-ledger_copied=0
-copy_ledger() {
-  if [[ "$ledger_copied" == 0 ]]; then
-    rm -rf build/ledger
-    mkdir -p build
-    cp -R bench/ledger build/ledger
-    ledger_copied=1
-  fi
-}
-
 # Every run states its randomized-sweep budgets up front, so a CI log or
 # a bug report always records how much world/seed coverage was bought.
 echo "verify: budgets — matrix worlds=${matrix_worlds} (--matrix-worlds N)," \
@@ -103,8 +90,7 @@ fi
 if [[ "$run_golden" == 1 ]]; then
   echo "== golden: snapshot suite + determinism/fault repeat at varying threads =="
   cmake -B build -S .
-  cmake --build build -j "${jobs}" --target golden_test determinism_test fault_test \
-    bench_timeline benchreport
+  cmake --build build -j "${jobs}" --target golden_test determinism_test fault_test
   # The flake gate: the determinism-sensitive suites run 3x, golden_test
   # additionally asserting one more thread count each round. Snapshots
   # regenerate only via `golden_test --update-golden`, never here. Each
@@ -133,30 +119,23 @@ if [[ "$run_golden" == 1 ]]; then
     grep 'flight recorder:' build/golden-recorder.log >&2 || true
     exit 1
   fi
-  # Timeline cold/warm/no-timeline A/B (exits 1 on divergence) + the
-  # warm-replay speedup record; the JSON lands in the repo root for CI
-  # artifact upload / trend tracking.
-  echo "-- timeline bench: bench_timeline --"
-  ./build/bench/bench_timeline --benchmark_filter='sample_replay'
-  test -s BENCH_timeline.json
-  # Perf-regression ledger: append this run to a copy of the committed
-  # ledger under build/ (a verify run leaves no tracked file modified),
-  # then gate on the machine-independent ratio metrics (speedups, hit
-  # ratios) against the committed baseline. Absolute times are checked
-  # only by CI's advisory step — they vary too much across machines for
-  # a local hard gate.
-  echo "-- bench ledger: benchreport append + ratio gate (build/ledger) --"
-  copy_ledger
-  ./build/tools/benchreport/benchreport --append BENCH_timeline.json \
-    --ledger build/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
-  ./build/tools/benchreport/benchreport --check BENCH_timeline.json \
-    --ledger build/ledger --ratios-only --tolerance 0.5
+  # The end-to-end benchmark must still count an injected fault as a
+  # failure, and each workload must pass its own output checks at its
+  # pinned seed. Correctness only: throughput is not gated here.
+  echo "-- perfbench: self-check + one short run per workload --"
+  python3 perfbench/run.py --self-check
+  for run in ndt_campaign:7 atlas_year:11 scenario_matrix:0; do
+    last="$(python3 perfbench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 1 | tail -n 1)"
+    echo "${run%:*}: ${last}"
+    grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<< "${last}" ||
+      { echo "golden: perfbench ${run%:*} is not correct with 0 failed" >&2; exit 1; }
+  done
 fi
 
 if [[ "$run_matrix" == 1 ]]; then
-  echo "== matrix: ${matrix_worlds}-world seeded sweep + invariant catalog + bench ledger =="
+  echo "== matrix: ${matrix_worlds}-world seeded sweep + invariant catalog =="
   cmake -B build -S .
-  cmake --build build -j "${jobs}" --target matrix_test bench_matrix benchreport satnetctl
+  cmake --build build -j "${jobs}" --target matrix_test satnetctl
   # The sweep: every generated world must pass the whole invariant
   # catalog (thread/ablation identity, flow conservation, monotone
   # degradation, finite metrics). A failure shrinks to a minimal spec
@@ -170,18 +149,6 @@ if [[ "$run_matrix" == 1 ]]; then
     ls build/matrix_failures >&2 2>/dev/null || true
     exit 1
   fi
-  # Throughput + ledger: the bench re-runs the catalog on a disjoint
-  # seed stride and gates on invariants_ok — a generated world failing
-  # its own catalog is a regression regardless of speed.
-  echo "-- matrix bench: bench_matrix (${matrix_worlds} worlds) --"
-  SATNET_BENCH_MATRIX_WORLDS="${matrix_worlds}" \
-    ./build/bench/bench_matrix --benchmark_filter='generate_scenario'
-  test -s BENCH_matrix.json
-  copy_ledger
-  ./build/tools/benchreport/benchreport --append BENCH_matrix.json \
-    --ledger build/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
-  ./build/tools/benchreport/benchreport --check BENCH_matrix.json \
-    --ledger build/ledger --ratios-only --tolerance 0.5
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -1,5 +1,5 @@
 // Run session: the one command-line parser and run set-up/tear-down
-// shared by satnetctl, the benches and the golden suite.
+// shared by satnetctl and the golden suite.
 //
 // Flags are declared once, in tables of `Flag`: a name, a metavar when
 // the flag takes a value, the check that value must pass, a default and

@@ -42,7 +42,7 @@ std::size_t scheduled_tests(const synth::SnoSpec& spec, const CampaignConfig& co
 /// Replays the same fork_stable draw streams the shards use, so the
 /// enumeration is exact without perturbing a single campaign draw. This
 /// is what run_campaign hands to EpochTimeline::ensure before sharding;
-/// exposed so benches and timeline-serving tools can enumerate (and
+/// exposed so perfbench and timeline-serving tools can enumerate (and
 /// precompute) a campaign's access workload without running it.
 std::vector<std::pair<const orbit::AccessNetwork*, std::vector<orbit::TimelineQuery>>>
 planned_access_queries(const synth::World& world, const CampaignConfig& config);

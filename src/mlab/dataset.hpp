@@ -1,5 +1,5 @@
 // The BigQuery-like NDT record table plus grouping/selection helpers used
-// by the identification pipeline and the benches.
+// by the identification pipeline and the paper report.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // pipeline consumes (RTT p5 as access latency, jitter p95, retransmitted
 // bytes, delivery rate). Records additionally carry ground-truth labels
 // (operator, truly-satellite) that the identification pipeline must not
-// read — they exist so benches can score it.
+// read — they exist so the paper report can score it.
 #pragma once
 
 #include <optional>

@@ -67,7 +67,7 @@ class Backbone {
   Options options_{};
 };
 
-/// Renders a route in classic traceroute text form (for examples/benches).
+/// Renders a route in classic traceroute text form (for examples).
 std::string to_string(const Route& route);
 
 }  // namespace satnet::net

@@ -139,7 +139,7 @@ class AccessNetwork {
   std::uint64_t identity_hash_ = 0;
 };
 
-/// Builds the Starlink-like access network used across benches: PoPs and
+/// Builds the Starlink-like access network used across the repo: PoPs and
 /// gateways in North America, Europe, Oceania, Asia and South America,
 /// including the scripted PoP migrations from the paper.
 AccessNetwork make_starlink_access(std::shared_ptr<const Constellation> constellation);

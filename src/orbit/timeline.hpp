@@ -139,7 +139,7 @@ class EpochTimeline {
   /// pointer stays valid for the process lifetime (snapshots are
   /// retired, never destroyed — the fault::Hook install pattern).
   static const EpochTimeline* find(std::uint64_t identity);
-  /// Uninstalls everything (tests and benches; retired, not destroyed).
+  /// Uninstalls everything (tests and perfbench; retired, not destroyed).
   static void clear_installed();
 
  private:

@@ -80,8 +80,8 @@ struct RetryPolicy {
 /// The conventional policy for tools that should survive an injected
 /// fault plan: under an active fault::Hook, one retry then degrade
 /// (quarantined shards become default results, counted in the report
-/// and fault.hit.* metrics); with no hook, the abort default. Benches
-/// and report generators use this as-is; satnetctl overrides it with
+/// and fault.hit.* metrics); with no hook, the abort default. The paper
+/// report and golden generators use this as-is; satnetctl overrides it with
 /// its explicit --retries/--degrade flags.
 inline RetryPolicy degrade_under_faults() {
   RetryPolicy policy;

@@ -1,7 +1,7 @@
 // Empirical cumulative distribution functions.
 //
-// Several of the paper's figures (4b, 4c, 10c) are CDFs; benches print
-// them as fixed quantile grids so the series can be compared run-to-run.
+// Several of the paper's figures (4b, 4c, 10c) are CDFs; the paper report
+// prints them as fixed quantile grids so the series can be compared run-to-run.
 #pragma once
 
 #include <span>
@@ -38,7 +38,7 @@ class Cdf {
   std::vector<double> sorted_;
 };
 
-/// Formats a CDF as "p10=.. p25=.. p50=.. p75=.. p90=.." for bench output.
+/// Formats a CDF as "p10=.. p25=.. p50=.. p75=.. p90=.." for report output.
 std::string describe_cdf(const Cdf& cdf);
 
 }  // namespace satnet::stats

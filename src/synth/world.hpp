@@ -46,7 +46,7 @@ struct WorldConfig {
   std::size_t max_subscribers = 1200;
   /// Opt-in rain-fade overlay (see weather::WeatherField). Off by default
   /// so the baseline calibration matches the paper's aggregate numbers;
-  /// the weather ablation bench turns it on.
+  /// the paper report's weather ablation turns it on.
   bool enable_weather = false;
   weather::WeatherConfig weather;
 };

@@ -3,8 +3,7 @@
 # no file behind — the flag is rejected before any campaign, pool or
 # export starts. Each case runs in a fresh, empty working directory.
 #
-#   cmake -DSATNETCTL=... -DBENCH=path/to/bench_matrix \
-#         -DGOLDEN_TEST=... -DBENCHREPORT=... -DWORKDIR=scratch/dir \
+#   cmake -DSATNETCTL=... -DGOLDEN_TEST=... -DWORKDIR=scratch/dir \
 #         -P cli_bad_flags.cmake
 
 # bad_flag(<expected text in the diagnostic> <command> <args>...)
@@ -60,11 +59,5 @@ bad_flag("--figure" "${SATNETCTL}" paper --figure nope)
 # 100000 through would stop at the plan, so this case never spawns a
 # pool. The diagnostic must name --threads, i.e. the parse came first.
 bad_flag("--threads" "${SATNETCTL}" campaign --threads 100000 --fault-plan missing.plan)
-bad_flag("--thread" "${BENCH}" --benchmark_filter=NONE --thread 2)
 bad_flag("--threads" "${GOLDEN_TEST}" --gtest_filter=None --threads abc)
-# benchreport keeps its own small flag loop; a bad --tolerance would
-# otherwise change the ledger gate silently.
-bad_flag("--tolerance" "${BENCHREPORT}" --check run.json --tolerance abc)
-bad_flag("--tolerance" "${BENCHREPORT}" --check run.json --tolerance -0.5)
-bad_flag("--tolerance" "${BENCHREPORT}" --check run.json --tolerance inf)
 file(REMOVE_RECURSE "${WORKDIR}")

@@ -271,7 +271,15 @@ TEST(DeterminismTest, TimelineNeverPerturbsResults) {
         << threads << " threads (timeline on)";
   }
   // The runs above actually replayed (sanity: the snapshot was consulted).
-  EXPECT_GT(obs::MetricsRegistry::global().counter("timeline.replay.hit").value(), 0u);
+  const std::uint64_t hits =
+      obs::MetricsRegistry::global().counter("timeline.replay.hit").value();
+  EXPECT_GT(hits, 0u);
+  // A freshly built world has the same network identity, so it replays
+  // the snapshot the runs above installed instead of building its own.
+  const synth::World fresh;
+  EXPECT_EQ(baseline.hash(), mlab::run_campaign(fresh, campaign_config(4)).hash())
+      << "fresh world (warm replay)";
+  EXPECT_GT(obs::MetricsRegistry::global().counter("timeline.replay.hit").value(), hits);
 }
 
 TEST(DeterminismTest, RepeatedRunsIdentical) {

@@ -1,9 +1,7 @@
 // The run session's flag parser: both spellings, strictness (unknown
-// and leftover arguments, repeats, missing values), range edges, the
-// shared flag set, and leftovers after google-benchmark strips its own
-// flags. The process-level behaviour (one diagnostic, exit 2, no file)
-// is covered by tests/cli_bad_flags.cmake.
-#include <benchmark/benchmark.h>
+// and leftover arguments, repeats, missing values), range edges and the
+// shared flag set. The process-level behaviour (one diagnostic, exit 2,
+// no file) is covered by tests/cli_bad_flags.cmake.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -128,19 +126,6 @@ TEST(SessionFlags, SharedFlagBounds) {
   EXPECT_NE(parse({"--watchdog-ms", "60001"}, shared, &args), "");
   EXPECT_NE(parse({"--watchdog-threshold-ms", "0"}, shared, &args), "");
   EXPECT_NE(parse({"--watchdog-threshold-ms", "inf"}, shared, &args), "");
-}
-
-TEST(SessionFlags, LeftoversAfterBenchmarkStrip) {
-  std::vector<std::string> args = {"prog", "--benchmark_filter=NONE", "--thread", "2"};
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  int argc = static_cast<int>(argv.size());
-  benchmark::Initialize(&argc, argv.data());
-  ASSERT_EQ(argc, 3);
-  io::Args parsed;
-  const std::string err =
-      io::parse_args(argc, argv.data(), 1, io::RunSession::shared_flags(), {}, &parsed);
-  EXPECT_EQ(err.rfind("unknown flag '--thread'", 0), 0u) << err;
 }
 
 TEST(SessionFlags, UsageIsBuiltFromTheTable) {

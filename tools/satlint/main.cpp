@@ -1,4 +1,4 @@
-// satlint CLI: scans src/, tools/, bench/, examples/, tests/ and exits
+// satlint CLI: scans src/, tools/, examples/, tests/ and exits
 // nonzero on any determinism/concurrency contract violation.
 //
 //   satlint --root <repo>                 lint the whole tree
@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<std::string> subdirs = {"src", "tools", "bench", "examples",
-                                            "tests"};
+  const std::vector<std::string> subdirs = {"src", "tools", "examples", "tests"};
   const satlint::TreeReport report =
       files.empty() ? satlint::lint_tree(root, subdirs, options)
                     : satlint::lint_files(files, options);
