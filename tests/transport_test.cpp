@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "transport/linkmodel.hpp"
 #include "transport/path.hpp"
+#include "transport/quic.hpp"
 #include "transport/tcp.hpp"
 
 namespace satnet::transport {
@@ -232,6 +235,45 @@ TEST(FetchTimeTest, HandshakeAddsRtts) {
   const double no_hs = fetch_time_ms(p, 32 * 1024, 0.0, r1);
   const double with_hs = fetch_time_ms(p, 32 * 1024, 2.0, r2);
   EXPECT_NEAR(with_hs - no_hs, 2 * p.base_rtt_ms, p.base_rtt_ms);
+}
+
+// ------------------------------------------------------------ counters
+
+// The transport.tcp.* counters flush once per TCP flow, whichever run
+// mode ends it: one flow and exactly that flow's totals. QUIC flows are
+// not counted.
+TEST(TcpFlowTest, CountersAddExactlyEachTcpFlowAndNoQuicFlow) {
+  auto& reg = obs::MetricsRegistry::global();
+  const auto read = [&reg] {
+    return std::array<std::uint64_t, 5>{
+        reg.counter("transport.tcp.flows").value(),
+        reg.counter("transport.tcp.bytes_sent").value(),
+        reg.counter("transport.tcp.bytes_retrans").value(),
+        reg.counter("transport.tcp.rtos").value(),
+        reg.counter("transport.tcp.handoffs").value()};
+  };
+  PathProfile p = leo_path();
+  p.handoff_rate_hz = 0.5;
+  p.spurious_rto_prob = 0.05;
+  for (const bool timed : {true, false}) {
+    const auto before = read();
+    const FlowResult r = timed ? TcpFlow(p, TcpOptions{}, stats::Rng(21)).run_for(10000)
+                               : TcpFlow(p, TcpOptions{}, stats::Rng(22)).run_bytes(4 << 20);
+    const auto after = read();
+    ASSERT_GT(r.n_rtos, 0u);
+    ASSERT_GT(r.n_handoffs, 0u);
+    EXPECT_EQ(after[0] - before[0], 1u);
+    EXPECT_EQ(after[1] - before[1], r.bytes_sent);
+    EXPECT_EQ(after[2] - before[2], r.bytes_retrans);
+    EXPECT_EQ(after[3] - before[3], r.n_rtos);
+    EXPECT_EQ(after[4] - before[4], r.n_handoffs);
+  }
+  const auto before = read();
+  const FlowResult quic = QuicFlow(p, QuicOptions{}, stats::Rng(23)).run_for(10000);
+  ASSERT_GT(quic.bytes_sent, 0u);
+  EXPECT_EQ(read(), before);
+  QuicFlow(p, QuicOptions{}, stats::Rng(24)).run_bytes(1 << 20);
+  EXPECT_EQ(read(), before);
 }
 
 // ------------------------------------------------------------ linkmodel
