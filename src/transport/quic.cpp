@@ -3,48 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/summary.hpp"
-
 namespace satnet::transport {
 
 namespace {
-constexpr double kMaxCwnd = 12000.0;
 constexpr double kBeta = 0.7;
 }
 
 QuicFlow::QuicFlow(PathProfile path, QuicOptions options, stats::Rng rng)
-    : path_(path), opt_(options), rng_(rng), cwnd_(options.initial_cwnd) {
+    : FlowEngine(path, options, rng) {
   // Encrypted transport: the operator's PEP cannot terminate the
   // connection, so the satellite segment's losses are always end-to-end.
   path_.pep = false;
 }
 
-QuicFlow::Round QuicFlow::simulate_round() {
-  Round out;
-  const double bdp = std::max(path_.bdp_packets(opt_.mss_bytes), 1.0);
-  const double buffer = std::max(path_.buffer_bdp * bdp, 4.0);
-  const double excess = std::max(0.0, cwnd_ - bdp);
-  const double queued = std::min(excess, buffer);
-  const double queue_ms = queued * opt_.mss_bytes * 8.0 / (path_.bottleneck_mbps * 1e6) * 1e3;
-  const double overflow = std::max(0.0, excess - buffer);
-
-  double rtt = path_.base_rtt_ms + queue_ms + std::abs(rng_.normal(0.0, path_.jitter_ms));
-  double handoff_loss = 0.0;
-  if (path_.handoff_rate_hz > 0.0 &&
-      rng_.chance(std::min(1.0, path_.handoff_rate_hz * rtt / 1e3))) {
-    out.handoff = true;
-    rtt += path_.handoff_spike_ms;
-    handoff_loss = static_cast<double>(rng_.poisson(cwnd_ * path_.handoff_loss_frac));
-  }
+void QuicFlow::draw_losses(Round& round) {
   const double random_loss = static_cast<double>(
       rng_.poisson(cwnd_ * (path_.sat_loss + path_.ground_loss)));
-
-  out.rtt_ms = rtt;
-  out.sent = cwnd_;
-  out.lost = std::floor(std::min(cwnd_, random_loss + handoff_loss + overflow));
-  out.spurious_pto = path_.spurious_rto_prob > 0 &&
-                     rng_.chance(path_.spurious_rto_prob * opt_.spurious_pto_factor);
-  return out;
+  round.lost = std::floor(std::min(cwnd_, random_loss + round.handoff_loss + round.overflow));
+  round.spurious = rng_.chance(path_.spurious_rto_prob * opt_.spurious_pto_factor);
 }
 
 void QuicFlow::react(const Round& round) {
@@ -54,116 +30,30 @@ void QuicFlow::react(const Round& round) {
     // size (no go-back-N, no forced idle).
     ssthresh_ = std::max(cwnd_ * kBeta, 2.0);
     cwnd_ = ssthresh_;
-    const auto lost_bytes =
-        static_cast<std::uint64_t>(std::llround(round.lost * opt_.mss_bytes));
-    bytes_retrans_ += lost_bytes;
-    bytes_sent_ += lost_bytes;
-    bytes_acked_ += lost_bytes;  // recovered data is delivered
-  } else if (round.spurious_pto) {
+  } else if (round.spurious) {
     // A spurious probe timeout costs one probe packet and an idle PTO,
-    // not a window's worth of duplicates.
-    const double pto = std::max(opt_.min_pto_ms, srtt_ms_ * 1.5);
-    elapsed_ms_ += pto;
+    // not a window's worth of duplicates. The PTO reads the srtt from
+    // before this round.
+    elapsed_ms_ += std::max(opt_.min_pto_ms, round.prev_srtt_ms * 1.5);
     const auto probe_bytes = static_cast<std::uint64_t>(opt_.mss_bytes);
     bytes_sent_ += probe_bytes;
     bytes_retrans_ += probe_bytes;
     cwnd_ = std::max(cwnd_ * kBeta, 2.0);
-    ++n_ptos_;
+    ++n_rtos_;
   } else if (cwnd_ < ssthresh_) {
     cwnd_ = std::min(cwnd_ * 2.0, ssthresh_);
   } else {
     cwnd_ += 1.0;  // NewReno-style avoidance (QUIC's default)
   }
-  cwnd_ = std::min(cwnd_, kMaxCwnd);
+  cwnd_ = std::min(cwnd_, kMaxCwndPackets);
 }
 
-void QuicFlow::record(const Round& round) {
-  srtt_ms_ = srtt_ms_ == 0 ? round.rtt_ms : 0.875 * srtt_ms_ + 0.125 * round.rtt_ms;
-  if (last_rtt_ms_ > 0) jitter_samples_.push_back(std::abs(round.rtt_ms - last_rtt_ms_));
-  last_rtt_ms_ = round.rtt_ms;
-  rtt_samples_.push_back(round.rtt_ms);
-  while (next_snapshot_ms_ <= elapsed_ms_) {
-    TcpInfoSnapshot s;
-    s.t_ms = next_snapshot_ms_;
-    s.rtt_ms = srtt_ms_;
-    s.last_rtt_ms = last_rtt_ms_;
-    s.bytes_sent = bytes_sent_;
-    s.bytes_retrans = bytes_retrans_;
-    s.bytes_acked = bytes_acked_;
-    s.cwnd_packets = cwnd_;
-    s.delivery_rate_mbps =
-        elapsed_ms_ > 0 ? static_cast<double>(bytes_acked_) * 8.0 / (elapsed_ms_ * 1e3)
-                        : 0.0;
-    snapshots_.push_back(s);
-    next_snapshot_ms_ += opt_.snapshot_interval_ms;
-  }
-}
-
-FlowResult QuicFlow::finish() {
-  FlowResult r;
-  r.duration_ms = elapsed_ms_;
-  r.bytes_sent = bytes_sent_;
-  r.bytes_retrans = bytes_retrans_;
-  r.bytes_acked = bytes_acked_;
-  r.goodput_mbps =
-      elapsed_ms_ > 0 ? static_cast<double>(bytes_acked_) * 8.0 / (elapsed_ms_ * 1e3) : 0.0;
-  r.rtt_p5_ms = stats::percentile(rtt_samples_, 5);
-  r.rtt_median_ms = stats::percentile(rtt_samples_, 50);
-  r.jitter_p95_ms = jitter_samples_.empty() ? 0.0 : stats::percentile(jitter_samples_, 95);
-  r.retrans_fraction =
-      bytes_sent_ > 0 ? static_cast<double>(bytes_retrans_) / static_cast<double>(bytes_sent_)
-                      : 0.0;
-  r.n_handoffs = n_handoffs_;
-  r.n_rtos = n_ptos_;
-  r.snapshots = std::move(snapshots_);
-  return r;
-}
-
-FlowResult QuicFlow::run_for(double duration_ms) {
-  while (elapsed_ms_ < duration_ms) {
-    const Round round = simulate_round();
-    elapsed_ms_ += round.rtt_ms;
-    if (round.handoff) ++n_handoffs_;
-    const auto sent_bytes =
-        static_cast<std::uint64_t>(std::llround(round.sent * opt_.mss_bytes));
-    const auto lost_bytes =
-        static_cast<std::uint64_t>(std::llround(round.lost * opt_.mss_bytes));
-    bytes_sent_ += sent_bytes;
-    bytes_acked_ += sent_bytes - std::min(sent_bytes, lost_bytes);
-    react(round);
-    record(round);
-  }
-  return finish();
-}
-
-FlowResult QuicFlow::run_bytes(std::uint64_t transfer_bytes, double max_ms) {
-  while (bytes_acked_ < transfer_bytes && elapsed_ms_ < max_ms) {
-    const double remaining =
-        static_cast<double>(transfer_bytes - bytes_acked_) / opt_.mss_bytes;
-    const double saved = cwnd_;
-    cwnd_ = std::min(cwnd_, std::max(1.0, remaining));
-    const Round round = simulate_round();
-    elapsed_ms_ += round.rtt_ms;
-    if (round.handoff) ++n_handoffs_;
-    const auto sent_bytes =
-        static_cast<std::uint64_t>(std::llround(round.sent * opt_.mss_bytes));
-    const auto lost_bytes =
-        static_cast<std::uint64_t>(std::llround(round.lost * opt_.mss_bytes));
-    bytes_sent_ += sent_bytes;
-    bytes_acked_ += sent_bytes - std::min(sent_bytes, lost_bytes);
-    cwnd_ = saved;
-    react(round);
-    record(round);
-  }
-  return finish();
-}
+template class FlowEngine<QuicFlow, QuicOptions>;
 
 double quic_fetch_time_ms(const PathProfile& path, std::uint64_t bytes, stats::Rng& rng,
                           const QuicOptions& options) {
   // 1-RTT handshake (vs 2 for TCP+TLS 1.3).
-  const double handshake = path.base_rtt_ms + std::abs(rng.normal(0.0, path.jitter_ms));
-  QuicFlow flow(path, options, rng.fork(bytes));
-  return handshake + flow.run_bytes(bytes).duration_ms;
+  return fetch_time<QuicFlow>(path, bytes, 1.0, rng, options);
 }
 
 }  // namespace satnet::transport

@@ -7,12 +7,13 @@
 //     the connection — GEO operators lose their main latency mitigation;
 //   * its loss recovery is packet-ranged (no go-back-N) with far fewer
 //     spurious timeouts, so long paths avoid TCP's RTO pathology.
-// The model reuses PathProfile; the `pep` flag is deliberately ignored.
+// QUIC is the second loss-recovery policy over the flow engine
+// (transport/flow.hpp); the PathProfile's `pep` flag is forced off.
 #pragma once
 
 #include "stats/rng.hpp"
+#include "transport/flow.hpp"
 #include "transport/path.hpp"
-#include "transport/tcp.hpp"
 
 namespace satnet::transport {
 
@@ -27,49 +28,22 @@ struct QuicOptions {
   double snapshot_interval_ms = 100.0;
 };
 
-/// A single bulk QUIC connection over a fixed path. Mirrors TcpFlow's
-/// result type so analyses apply to both.
-class QuicFlow {
+/// A single bulk QUIC connection over a fixed path, so analyses apply to
+/// both transports. handoff_prob rounds as rate·rtt/1e3, unlike TCP's;
+/// QUIC flows are not counted in the transport.tcp.* metrics.
+class QuicFlow : public FlowEngine<QuicFlow, QuicOptions> {
  public:
   QuicFlow(PathProfile path, QuicOptions options, stats::Rng rng);
 
-  /// Bulk transfer for a fixed duration.
-  FlowResult run_for(double duration_ms);
-  /// Transfer a fixed payload (object fetch).
-  FlowResult run_bytes(std::uint64_t transfer_bytes, double max_ms = 120000.0);
-
  private:
-  struct Round {
-    double rtt_ms = 0;
-    double sent = 0;
-    double lost = 0;
-    bool handoff = false;
-    bool spurious_pto = false;
-  };
-  Round simulate_round();
+  friend class FlowEngine<QuicFlow, QuicOptions>;
+  double handoff_prob(double rtt_ms) const { return path_.handoff_rate_hz * rtt_ms / 1e3; }
+  void draw_losses(Round& round);
   void react(const Round& round);
-  void record(const Round& round);
-  FlowResult finish();
-
-  PathProfile path_;
-  QuicOptions opt_;
-  stats::Rng rng_;
-
-  double cwnd_;
-  double ssthresh_ = 1e9;
-  double elapsed_ms_ = 0;
-  double srtt_ms_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_retrans_ = 0;
-  std::uint64_t bytes_acked_ = 0;
-  std::size_t n_handoffs_ = 0;
-  std::size_t n_ptos_ = 0;
-  double last_rtt_ms_ = 0;
-  double next_snapshot_ms_ = 0;
-  std::vector<double> rtt_samples_;
-  std::vector<double> jitter_samples_;
-  std::vector<TcpInfoSnapshot> snapshots_;
+  static void count(const FlowResult&) {}
 };
+
+extern template class FlowEngine<QuicFlow, QuicOptions>;
 
 /// Time to fetch `bytes` over a fresh QUIC connection: 1-RTT handshake
 /// (vs TCP+TLS's 2) plus the transfer.

@@ -4,54 +4,19 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "stats/summary.hpp"
 
 namespace satnet::transport {
 
 namespace {
-constexpr double kMaxCwndPackets = 12000.0;  // ~18 MB receive window
 constexpr double kCubicC = 0.4;
 constexpr double kCubicBeta = 0.7;
 constexpr double kRenoBeta = 0.5;
 }  // namespace
 
-TcpFlow::TcpFlow(PathProfile path, TcpOptions options, stats::Rng rng)
-    : path_(path), opt_(options), rng_(rng), cwnd_(options.initial_cwnd) {}
-
-TcpFlow::RoundOutcome TcpFlow::simulate_round() {
-  RoundOutcome out;
-  const double bdp = std::max(path_.bdp_packets(opt_.mss_bytes), 1.0);
-  const double buffer_packets = std::max(path_.buffer_bdp * bdp, 4.0);
-
-  // Queueing at the bottleneck: packets beyond the BDP sit in the buffer.
-  const double excess = std::max(0.0, cwnd_ - bdp);
-  const double queued = std::min(excess, buffer_packets);
-  const double queue_ms =
-      queued * opt_.mss_bytes * 8.0 / (path_.bottleneck_mbps * 1e6) * 1e3;
-  double overflow = std::max(0.0, excess - buffer_packets);
-
-  double rtt = path_.base_rtt_ms + queue_ms + std::abs(rng_.normal(0.0, path_.jitter_ms));
-
-  // Handoff process: Poisson arrivals over the round duration.
-  const double round_sec = rtt / 1e3;
-  double handoff_loss = 0.0;
-  if (path_.handoff_rate_hz > 0.0 &&
-      rng_.chance(std::min(1.0, path_.handoff_rate_hz * round_sec))) {
-    out.handoff = true;
-    rtt += path_.handoff_spike_ms;
-    handoff_loss = static_cast<double>(
-        rng_.poisson(cwnd_ * path_.handoff_loss_frac));
-  }
-
+void TcpFlow::draw_losses(Round& round) {
   // Random (non-congestion) losses on each segment.
-  const double sat_random =
-      path_.sat_loss > 0 ? static_cast<double>(rng_.poisson(cwnd_ * path_.sat_loss)) : 0.0;
-  const double ground_random =
-      path_.ground_loss > 0 ? static_cast<double>(rng_.poisson(cwnd_ * path_.ground_loss))
-                            : 0.0;
-
-  out.rtt_ms = rtt;
-  out.sent_packets = cwnd_;
+  const auto sat_random = static_cast<double>(rng_.poisson(cwnd_ * path_.sat_loss));
+  const auto ground_random = static_cast<double>(rng_.poisson(cwnd_ * path_.ground_loss));
   if (path_.pep) {
     // The PEP recovers satellite-segment losses (random, handoff, and
     // most of the satellite scheduler's buffer overflow) locally:
@@ -59,44 +24,53 @@ TcpFlow::RoundOutcome TcpFlow::simulate_round() {
     // still surfaces end-to-end, which keeps the sender's congestion
     // signal alive.
     constexpr double kOverflowResidual = 0.15;
-    out.lost_recovered = std::min(
-        cwnd_, sat_random + handoff_loss + (1.0 - kOverflowResidual) * overflow);
-    out.lost_e2e =
-        std::min(cwnd_ - out.lost_recovered, ground_random + kOverflowResidual * overflow);
+    const double recovered = std::min(
+        cwnd_, sat_random + round.handoff_loss + (1.0 - kOverflowResidual) * round.overflow);
+    round.lost =
+        std::min(cwnd_ - recovered, ground_random + kOverflowResidual * round.overflow);
   } else {
-    out.lost_e2e = std::min(cwnd_, sat_random + ground_random + handoff_loss + overflow);
+    round.lost =
+        std::min(cwnd_, sat_random + ground_random + round.handoff_loss + round.overflow);
   }
   // Whole packets only: keeps the byte accounting exact and guarantees
-  // that a "loss round" (lost_e2e >= 1) is well-defined.
-  out.lost_e2e = std::floor(out.lost_e2e);
+  // that a "loss round" (lost >= 1) is well-defined.
+  round.lost = std::floor(round.lost);
   // Spurious RTO process (long-path RTO underestimation).
-  out.spurious_rto = path_.spurious_rto_prob > 0 && rng_.chance(path_.spurious_rto_prob);
-  return out;
+  round.spurious = rng_.chance(path_.spurious_rto_prob);
 }
 
-void TcpFlow::record_rtt(double rtt_ms) {
-  if (srtt_ms_ == 0.0) {
-    srtt_ms_ = rtt_ms;
-    rttvar_ms_ = rtt_ms / 2.0;
+void TcpFlow::react(const Round& round) {
+  // RFC 6298: the variance moves against the srtt before this sample;
+  // the RTO below reads the srtt after it.
+  rttvar_ms_ = round.prev_srtt_ms == 0.0
+                   ? round.rtt_ms / 2.0
+                   : 0.75 * rttvar_ms_ + 0.25 * std::abs(round.prev_srtt_ms - round.rtt_ms);
+  if (round.lost >= 1.0 && round.lost > 0.3 * round.sent) {
+    // A burst: the retransmission timer fires, and go-back-N resends
+    // part of the window that did arrive.
+    timeout(round.sent - round.lost);
+  } else if (round.lost >= 1.0) {
+    // Fast retransmit / fast recovery.
+    const double beta = opt_.cc == CongestionControl::cubic ? kCubicBeta : kRenoBeta;
+    cubic_w_max_ = cwnd_;
+    ssthresh_ = std::max(cwnd_ * beta, 2.0);
+    cwnd_ = ssthresh_;
+    cubic_epoch_start_ms_ = elapsed_ms_;
+  } else if (round.spurious) {
+    // RTO fires although every packet arrived.
+    timeout(round.sent);
   } else {
-    rttvar_ms_ = 0.75 * rttvar_ms_ + 0.25 * std::abs(srtt_ms_ - rtt_ms);
-    srtt_ms_ = 0.875 * srtt_ms_ + 0.125 * rtt_ms;
+    grow_window();
   }
-  prev_rtt_ms_ = last_rtt_ms_;
-  last_rtt_ms_ = rtt_ms;
-  rtt_samples_.push_back(rtt_ms);
-  if (prev_rtt_ms_ > 0.0) jitter_samples_.push_back(std::abs(rtt_ms - prev_rtt_ms_));
 }
 
-void TcpFlow::on_spurious_rto(const RoundOutcome& round) {
-  // RTO fires although every packet arrived: the sender idles, collapses
-  // its window, and go-back-N retransmits data the receiver already has.
-  // Those duplicate bytes count as sent AND retransmitted (never acked),
+void TcpFlow::timeout(double window_packets) {
+  // The sender idles for the RTO, its window collapses, and go-back-N
+  // resends a share of `window_packets` the receiver already has. Those
+  // duplicate bytes count as sent AND retransmitted (never acked),
   // preserving bytes_sent == bytes_acked + bytes_retrans.
-  const double rto = std::max(opt_.min_rto_ms, srtt_ms_ + 4.0 * rttvar_ms_);
-  elapsed_ms_ += rto;
-  const auto dup_bytes = static_cast<std::uint64_t>(
-      std::llround(round.sent_packets * path_.go_back_n_frac * opt_.mss_bytes));
+  elapsed_ms_ += std::max(opt_.min_rto_ms, srtt_ms_ + 4.0 * rttvar_ms_);
+  const std::uint64_t dup_bytes = bytes_of(window_packets * path_.go_back_n_frac);
   bytes_sent_ += dup_bytes;
   bytes_retrans_ += dup_bytes;
   cubic_w_max_ = cwnd_;
@@ -104,40 +78,6 @@ void TcpFlow::on_spurious_rto(const RoundOutcome& round) {
   cwnd_ = opt_.initial_cwnd > 1.0 ? 2.0 : 1.0;
   cubic_epoch_start_ms_ = elapsed_ms_;
   ++n_rtos_;
-}
-
-void TcpFlow::on_loss(const RoundOutcome& round) {
-  const bool burst = round.lost_e2e > 0.3 * round.sent_packets;
-  const double beta = opt_.cc == CongestionControl::cubic ? kCubicBeta : kRenoBeta;
-  if (burst) {
-    // Retransmission timeout: the window collapses, the sender idles for
-    // the RTO, and go-back-N resends part of the window needlessly.
-    const double rto = std::max(opt_.min_rto_ms, srtt_ms_ + 4.0 * rttvar_ms_);
-    elapsed_ms_ += rto;
-    const auto dup_bytes = static_cast<std::uint64_t>(std::llround(
-        (round.sent_packets - round.lost_e2e) * path_.go_back_n_frac * opt_.mss_bytes));
-    bytes_sent_ += dup_bytes;
-    bytes_retrans_ += dup_bytes;
-    cubic_w_max_ = cwnd_;
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
-    cwnd_ = opt_.initial_cwnd > 1.0 ? 2.0 : 1.0;
-    cubic_epoch_start_ms_ = elapsed_ms_;
-    ++n_rtos_;
-  } else {
-    // Fast retransmit / fast recovery.
-    cubic_w_max_ = cwnd_;
-    ssthresh_ = std::max(cwnd_ * beta, 2.0);
-    cwnd_ = ssthresh_;
-    cubic_epoch_start_ms_ = elapsed_ms_;
-  }
-  // The retransmitted packets are sent again and (in this flow-level
-  // model) delivered on recovery, so all three counters advance and the
-  // invariant bytes_sent == bytes_acked + bytes_retrans holds exactly.
-  const auto lost_bytes =
-      static_cast<std::uint64_t>(std::llround(round.lost_e2e * opt_.mss_bytes));
-  bytes_retrans_ += lost_bytes;
-  bytes_sent_ += lost_bytes;
-  bytes_acked_ += lost_bytes;
 }
 
 void TcpFlow::grow_window() {
@@ -158,42 +98,7 @@ void TcpFlow::grow_window() {
   cwnd_ = std::min(cwnd_, kMaxCwndPackets);
 }
 
-void TcpFlow::maybe_snapshot() {
-  while (next_snapshot_ms_ <= elapsed_ms_) {
-    TcpInfoSnapshot s;
-    s.t_ms = next_snapshot_ms_;
-    s.rtt_ms = srtt_ms_;
-    s.last_rtt_ms = last_rtt_ms_;
-    s.bytes_sent = bytes_sent_;
-    s.bytes_retrans = bytes_retrans_;
-    s.bytes_acked = bytes_acked_;
-    s.cwnd_packets = cwnd_;
-    s.delivery_rate_mbps =
-        elapsed_ms_ > 0 ? static_cast<double>(bytes_acked_) * 8.0 / (elapsed_ms_ * 1e3)
-                        : 0.0;
-    snapshots_.push_back(s);
-    next_snapshot_ms_ += opt_.snapshot_interval_ms;
-  }
-}
-
-FlowResult TcpFlow::finish() {
-  FlowResult r;
-  r.duration_ms = elapsed_ms_;
-  r.bytes_sent = bytes_sent_;
-  r.bytes_retrans = bytes_retrans_;
-  r.bytes_acked = bytes_acked_;
-  r.goodput_mbps =
-      elapsed_ms_ > 0 ? static_cast<double>(bytes_acked_) * 8.0 / (elapsed_ms_ * 1e3) : 0.0;
-  r.rtt_p5_ms = stats::percentile(rtt_samples_, 5);
-  r.rtt_median_ms = stats::percentile(rtt_samples_, 50);
-  r.jitter_p95_ms = jitter_samples_.empty() ? 0.0 : stats::percentile(jitter_samples_, 95);
-  r.retrans_fraction =
-      bytes_sent_ > 0 ? static_cast<double>(bytes_retrans_) / static_cast<double>(bytes_sent_)
-                      : 0.0;
-  r.n_handoffs = n_handoffs_;
-  r.n_rtos = n_rtos_;
-  r.snapshots = std::move(snapshots_);
-
+void TcpFlow::count(const FlowResult& r) {
   // Flow accounting flushes once per flow (the per-round loop stays
   // metric-free): retransmit and timeout totals across every NDT test,
   // HTTP transfer, and video segment in the campaign.
@@ -213,84 +118,17 @@ FlowResult TcpFlow::finish() {
   static obs::Counter& handoffs = obs::MetricsRegistry::global().counter(
       "transport.tcp.handoffs", "satellite handoffs observed by flows");
   flows.add(1);
-  sent.add(bytes_sent_);
-  retrans.add(bytes_retrans_);
-  rtos.add(n_rtos_);
-  handoffs.add(n_handoffs_);
-  return r;
+  sent.add(r.bytes_sent);
+  retrans.add(r.bytes_retrans);
+  rtos.add(r.n_rtos);
+  handoffs.add(r.n_handoffs);
 }
 
-FlowResult TcpFlow::run_for(double duration_ms) {
-  while (elapsed_ms_ < duration_ms) {
-    const RoundOutcome round = simulate_round();
-    record_rtt(round.rtt_ms);
-    elapsed_ms_ += round.rtt_ms;
-    if (round.handoff) ++n_handoffs_;
-
-    const auto sent_bytes =
-        static_cast<std::uint64_t>(std::llround(round.sent_packets * opt_.mss_bytes));
-    const auto lost_bytes =
-        static_cast<std::uint64_t>(std::llround(round.lost_e2e * opt_.mss_bytes));
-    bytes_sent_ += sent_bytes;
-    bytes_acked_ += sent_bytes - std::min(sent_bytes, lost_bytes);
-
-    if (round.lost_e2e >= 1.0) {
-      on_loss(round);
-    } else if (round.spurious_rto) {
-      on_spurious_rto(round);
-    } else {
-      grow_window();
-    }
-    maybe_snapshot();
-  }
-  return finish();
-}
-
-FlowResult TcpFlow::run_bytes(std::uint64_t transfer_bytes, double max_ms) {
-  while (bytes_acked_ < transfer_bytes && elapsed_ms_ < max_ms) {
-    // Don't send more than what remains (short final round).
-    const double remaining_packets =
-        static_cast<double>(transfer_bytes - bytes_acked_) / opt_.mss_bytes;
-    const double saved_cwnd = cwnd_;
-    cwnd_ = std::min(cwnd_, std::max(1.0, remaining_packets));
-
-    const RoundOutcome round = simulate_round();
-    record_rtt(round.rtt_ms);
-    elapsed_ms_ += round.rtt_ms;
-    if (round.handoff) ++n_handoffs_;
-
-    const auto sent_bytes =
-        static_cast<std::uint64_t>(std::llround(round.sent_packets * opt_.mss_bytes));
-    const auto lost_bytes =
-        static_cast<std::uint64_t>(std::llround(round.lost_e2e * opt_.mss_bytes));
-    bytes_sent_ += sent_bytes;
-    bytes_acked_ += sent_bytes - std::min(sent_bytes, lost_bytes);
-
-    cwnd_ = saved_cwnd;
-    if (round.lost_e2e >= 1.0) {
-      on_loss(round);
-    } else if (round.spurious_rto) {
-      on_spurious_rto(round);
-    } else {
-      grow_window();
-    }
-    maybe_snapshot();
-  }
-  return finish();
-}
+template class FlowEngine<TcpFlow, TcpOptions>;
 
 double fetch_time_ms(const PathProfile& path, std::uint64_t bytes, double handshake_rtts,
                      stats::Rng& rng, const TcpOptions& options) {
-  double handshake_ms = 0.0;
-  for (int i = 0; i < static_cast<int>(handshake_rtts); ++i) {
-    handshake_ms += path.base_rtt_ms + std::abs(rng.normal(0.0, path.jitter_ms));
-  }
-  const double frac = handshake_rtts - std::floor(handshake_rtts);
-  if (frac > 0.0) handshake_ms += frac * path.base_rtt_ms;
-
-  TcpFlow flow(path, options, rng.fork(bytes));
-  const FlowResult r = flow.run_bytes(bytes);
-  return handshake_ms + r.duration_ms;
+  return fetch_time<TcpFlow>(path, bytes, handshake_rtts, rng, options);
 }
 
 }  // namespace satnet::transport

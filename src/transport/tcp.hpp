@@ -1,17 +1,18 @@
 // Flow-level TCP simulation.
 //
-// The model advances one congestion-control round (~1 RTT) at a time:
-// it sends a window, draws losses from the path's loss processes,
-// reacts (fast recovery or RTO), and records TCP_Info-style snapshots.
-// This is the engine under every NDT speed test, HTTP transfer and
+// TCP is one loss-recovery policy over the flow engine (transport/flow.hpp):
+// each round it draws satellite and ground losses, lets a PEP recover the
+// satellite segment's share locally, and reacts with fast recovery or a
+// go-back-N retransmission timeout, growing its window with CUBIC or
+// Reno. This is the model under every NDT speed test, HTTP transfer and
 // video-segment download in the reproduction; its retransmission
 // accounting is what Figure 4c measures.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "stats/rng.hpp"
+#include "transport/flow.hpp"
 #include "transport/path.hpp"
 
 namespace satnet::transport {
@@ -29,97 +30,28 @@ struct TcpOptions {
   double snapshot_interval_ms = 100.0;
 };
 
-/// One TCP_Info-style snapshot, as captured by the M-Lab server's
-/// polling loop.
-struct TcpInfoSnapshot {
-  double t_ms = 0;             ///< time since connection start
-  double rtt_ms = 0;           ///< smoothed RTT at snapshot time
-  double last_rtt_ms = 0;      ///< most recent RTT sample
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_retrans = 0;
-  std::uint64_t bytes_acked = 0;
-  double delivery_rate_mbps = 0;
-  double cwnd_packets = 0;
-};
-
-/// Aggregate outcome of a flow.
-struct FlowResult {
-  double duration_ms = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_retrans = 0;
-  std::uint64_t bytes_acked = 0;
-  double goodput_mbps = 0;   ///< acked payload over duration
-  double rtt_p5_ms = 0;      ///< the paper's access-latency estimate
-  double rtt_median_ms = 0;
-  double jitter_p95_ms = 0;  ///< p95 of |rtt_i - rtt_{i-1}|
-  double retrans_fraction = 0;  ///< bytes_retrans / bytes_sent
-  std::size_t n_handoffs = 0;
-  std::size_t n_rtos = 0;
-  std::vector<TcpInfoSnapshot> snapshots;
-
-  /// Byte conservation law of the flow models (TCP and QUIC): every
-  /// sent byte is eventually either acknowledged or accounted as a
-  /// retransmission — lost data is re-delivered, duplicate (go-back-N,
-  /// spurious-RTO, probe) bytes count as sent and retransmitted but
-  /// never acked. The invariant harness checks this on every flow.
-  bool conserved() const { return bytes_sent == bytes_acked + bytes_retrans; }
-};
-
-/// A single long-running (bulk) flow over a fixed path.
-class TcpFlow {
+/// A single TCP connection over a fixed path; run_for and run_bytes come
+/// from the engine. handoff_prob rounds as rate·(rtt/1e3), unlike QUIC's.
+class TcpFlow : public FlowEngine<TcpFlow, TcpOptions> {
  public:
-  TcpFlow(PathProfile path, TcpOptions options, stats::Rng rng);
-
-  /// Runs a bulk transfer for `duration_ms` of simulated time (NDT-style
-  /// fixed-duration test).
-  FlowResult run_for(double duration_ms);
-
-  /// Runs until `transfer_bytes` have been acknowledged (HTTP-object
-  /// style) or `max_ms` elapses, whichever is first.
-  FlowResult run_bytes(std::uint64_t transfer_bytes, double max_ms = 120000.0);
+  TcpFlow(PathProfile path, TcpOptions options, stats::Rng rng)
+      : FlowEngine(path, options, rng) {}
 
  private:
-  struct RoundOutcome {
-    double rtt_ms = 0;
-    double sent_packets = 0;
-    double lost_e2e = 0;        ///< losses visible to the end-to-end loop
-    double lost_recovered = 0;  ///< satellite losses a PEP recovered locally
-    bool handoff = false;
-    bool spurious_rto = false;  ///< RTO fired although nothing was lost
-  };
-
-  RoundOutcome simulate_round();
-  void on_loss(const RoundOutcome& round);
-  void on_spurious_rto(const RoundOutcome& round);
+  friend class FlowEngine<TcpFlow, TcpOptions>;
+  double handoff_prob(double rtt_ms) const { return path_.handoff_rate_hz * (rtt_ms / 1e3); }
+  void draw_losses(Round& round);
+  void react(const Round& round);
+  void timeout(double window_packets);
   void grow_window();
-  void record_rtt(double rtt_ms);
-  void maybe_snapshot();
-  FlowResult finish();
+  static void count(const FlowResult& r);
 
-  PathProfile path_;
-  TcpOptions opt_;
-  stats::Rng rng_;
-
-  // Connection state.
-  double cwnd_ = 10.0;
-  double ssthresh_ = 1e9;
-  double srtt_ms_ = 0.0;
   double rttvar_ms_ = 0.0;
-  double elapsed_ms_ = 0.0;
   double cubic_epoch_start_ms_ = 0.0;
   double cubic_w_max_ = 0.0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_retrans_ = 0;
-  std::uint64_t bytes_acked_ = 0;
-  std::size_t n_handoffs_ = 0;
-  std::size_t n_rtos_ = 0;
-  double last_rtt_ms_ = 0.0;
-  double prev_rtt_ms_ = 0.0;
-  double next_snapshot_ms_ = 0.0;
-  std::vector<double> rtt_samples_;
-  std::vector<double> jitter_samples_;
-  std::vector<TcpInfoSnapshot> snapshots_;
 };
+
+extern template class FlowEngine<TcpFlow, TcpOptions>;
 
 /// Convenience: time to fetch `bytes` over a fresh connection including
 /// `handshake_rtts` round trips of connection setup (TCP + TLS), ms.
