@@ -28,9 +28,9 @@ struct QuicOptions {
   double snapshot_interval_ms = 100.0;
 };
 
-/// A single bulk QUIC connection over a fixed path, so analyses apply to
-/// both transports. handoff_prob rounds as rate·rtt/1e3, unlike TCP's;
-/// QUIC flows are not counted in the transport.tcp.* metrics.
+/// A single bulk QUIC connection; it returns TcpFlow's FlowResult, so
+/// analyses apply to both. handoff_prob rounds as rate·rtt/1e3, unlike
+/// TCP's; QUIC flows are not counted in the transport.tcp.* metrics.
 class QuicFlow : public FlowEngine<QuicFlow, QuicOptions> {
  public:
   QuicFlow(PathProfile path, QuicOptions options, stats::Rng rng);

@@ -1,6 +1,6 @@
 // Fixture: ad-hoc fault toggles. Linted under a virtual src/transport/
 // path so the adhoc-inject rule applies; the same content under
-// src/fault/ or bench/ must stay silent.
+// src/fault/ or examples/ must stay silent.
 #include <cstddef>
 #include <string>
 

@@ -130,9 +130,9 @@ TEST(SatlintD1, FlagsEveryNondeterminismSource) {
   EXPECT_TRUE(r.suppressed.empty());
 }
 
-TEST(SatlintD1, AppliesToBenchAndExamplesToo) {
+TEST(SatlintD1, AppliesToExamplesToo) {
   const FileReport r =
-      satlint::lint_source("bench/d1_nondet.cpp", fixture("d1_nondet.cpp"));
+      satlint::lint_source("examples/d1_nondet.cpp", fixture("d1_nondet.cpp"));
   EXPECT_EQ(count_rule(r.violations, "nondet-source"), 6u);
 }
 
@@ -237,10 +237,10 @@ TEST(SatlintD6, SilentInFaultModuleAndOutsideSrc) {
   const FileReport in_fault = satlint::lint_source("src/fault/d6_adhoc_inject.cpp",
                                                    fixture("d6_adhoc_inject.cpp"));
   EXPECT_EQ(count_rule(in_fault.violations, "adhoc-inject"), 0u);
-  // bench/examples/tests may name their knobs freely.
-  const FileReport in_bench = satlint::lint_source("bench/d6_adhoc_inject.cpp",
-                                                   fixture("d6_adhoc_inject.cpp"));
-  EXPECT_EQ(count_rule(in_bench.violations, "adhoc-inject"), 0u);
+  // examples/tests may name their knobs freely.
+  const FileReport in_examples = satlint::lint_source("examples/d6_adhoc_inject.cpp",
+                                                      fixture("d6_adhoc_inject.cpp"));
+  EXPECT_EQ(count_rule(in_examples.violations, "adhoc-inject"), 0u);
 }
 
 // ------------------------------------------------------------ rule D7
@@ -345,8 +345,8 @@ TEST(SatlintClassify, ModulesDriveRuleApplicability) {
   EXPECT_EQ(fault.module, "fault");
   EXPECT_FALSE(fault.injection_scope);
 
-  const satlint::FileClass bench = satlint::classify("bench/bench_timeline.cpp");
-  EXPECT_FALSE(bench.injection_scope);
+  const satlint::FileClass example = satlint::classify("examples/satnetctl.cpp");
+  EXPECT_FALSE(example.injection_scope);
 
   EXPECT_TRUE(satlint::classify("src/obs/recorder.cpp").clock_boundary);
   EXPECT_TRUE(runtime.clock_boundary);

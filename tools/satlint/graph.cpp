@@ -32,9 +32,7 @@ std::string module_of(std::string_view path) {
     if (sub.empty()) return std::string(top);
     return std::string(top) + ":" + std::string(sub);
   }
-  if (top == "bench" || top == "examples" || top == "tests") {
-    return std::string(top);
-  }
+  if (top == "examples" || top == "tests") return std::string(top);
   return "";
 }
 
@@ -43,7 +41,7 @@ std::string module_of(std::string_view path) {
 // telemetry leaf (obs) include nothing, so the numeric core stays pure
 // and obs stays the layer everything may report into without ever
 // reaching back up. tools/* modules are standalone (own directory
-// only); bench/examples/tests may include anything.
+// only); examples/tests may include anything.
 const std::map<std::string, std::vector<std::string>> kAllowedDeps = {
     {"src:stats", {}},
     {"src:geo", {}},
@@ -103,7 +101,7 @@ const std::map<std::string, std::vector<std::string>> kAllowedDeps = {
 bool edge_allowed(const std::string& from, const std::string& to) {
   if (from.empty() || to.empty()) return true;   // unclassified paths
   if (from == to) return true;                   // intra-module
-  if (from == "bench" || from == "examples" || from == "tests") return true;
+  if (from == "examples" || from == "tests") return true;
   if (from.rfind("tools:", 0) == 0) return false;  // tools are standalone
   const auto it = kAllowedDeps.find(from);
   if (it == kAllowedDeps.end()) return false;  // unknown src module
@@ -636,7 +634,7 @@ std::vector<int> worker_reachable(const Project& p) {
 // ---------------------------------------------------------------------------
 
 std::string to_dot(const Project& p) {
-  // Module-level edges, src/tools only (bench/tests/examples may include
+  // Module-level edges, src/tools only (tests/examples may include
   // anything — charting them hides the architecture instead of showing
   // it).
   std::set<std::pair<std::string, std::string>> edges;

@@ -54,7 +54,7 @@ struct SourceMark {
 
 struct FileNode {
   std::string path;
-  std::string module;  ///< "src:orbit", "tools:satlint", "bench", "" (other)
+  std::string module;  ///< "src:orbit", "tools:satlint", "tests", "" (other)
   std::vector<int> include_targets;  ///< resolved file indexes
   std::vector<int> include_lines;    ///< parallel, 1-based
   lex::FileSymbols symbols;

@@ -444,8 +444,8 @@ const std::vector<RuleInfo>& rules() { return kRules; }
 
 FileClass classify(std::string_view path) {
   FileClass fc;
-  // Module = directory under src/, or the top-level tree for bench/
-  // examples/tests.
+  // Module = directory under src/, or the top-level tree for examples/
+  // and tests/.
   static const std::vector<std::string> kModules = {
       "stats", "geo",  "obs",   "runtime", "sim",   "orbit", "net",
       "transport", "bgp", "weather", "dns", "http", "video", "synth",
@@ -454,7 +454,7 @@ FileClass classify(std::string_view path) {
     if (path_has_dir(path, m)) fc.module = m;
   }
   if (fc.module.empty()) {
-    for (std::string_view top : {"bench", "examples", "tests"}) {
+    for (std::string_view top : {"examples", "tests"}) {
       if (path_has_dir(path, top)) fc.module = std::string(top);
     }
   }
@@ -479,10 +479,9 @@ FileClass classify(std::string_view path) {
   // D5: where shard results are merged or cross-thread values folded.
   fc.merge_path = fc.sharded || is({"obs"});
   // D6: every src/ module except fault itself (which implements the
-  // hook) — bench/examples/tests may name injection knobs freely.
+  // hook) — examples/tests may name injection knobs freely.
   fc.injection_scope =
-      !fc.module.empty() && fc.module != "fault" &&
-      !is({"bench", "examples", "tests"});
+      !fc.module.empty() && fc.module != "fault" && !is({"examples", "tests"});
   // D7: the persistence layer — the only place binary artifacts are
   // written and mapped, so the only place their hazards can originate.
   fc.persist_scope = is({"io"});
@@ -592,7 +591,7 @@ void project_pass(std::vector<Analysis*>& by_index,
   }
 
   // D9 — nondet-taint. Report surface = src/ report-path files only;
-  // tests and benches read timers by design and write no artifacts.
+  // tests read timers by design and write no artifacts.
   std::vector<bool> report_path(proj->files.size(), false);
   for (std::size_t i = 0; i < proj->files.size(); ++i) {
     const std::string& path = proj->files[i].path;

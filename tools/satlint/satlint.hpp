@@ -167,7 +167,7 @@ std::map<std::string, std::size_t> suppressions_by_rule(const TreeReport& report
 /// How a path is classified decides which rules apply to it. Exposed for
 /// tests and for the --explain CLI mode.
 struct FileClass {
-  std::string module;     ///< "runtime", "io", "bench", "tests", ...
+  std::string module;     ///< "runtime", "io", "examples", "tests", ...
   bool report_path = false;  ///< D2 applies
   bool sharded = false;      ///< D3 applies
   bool worker = false;       ///< D4 applies
